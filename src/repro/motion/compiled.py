@@ -32,6 +32,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+try:  # the clip ufunc itself: np.clip's wrapper triples the per-call cost
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from ..errors import InvalidParameterError, TrajectoryError
 from ..geometry import Vec2
 from .arc import ArcMotion
@@ -45,6 +50,7 @@ __all__ = [
     "KIND_ARC",
     "FLOAT_FIELDS",
     "CompiledTrajectory",
+    "SegmentRows",
     "SegmentStreamCompiler",
     "compile_segments",
     "packed_chunk_nbytes",
@@ -144,6 +150,13 @@ class CompiledTrajectory:
         indices = np.searchsorted(self.start_times, times, side="right") - 1
         return np.clip(indices, 0, len(self) - 1)
 
+    def rows(self, indices: np.ndarray) -> "SegmentRows":
+        """The indexed segments' parameters, gathered for evaluation."""
+        table = np.array([getattr(self, name)[indices] for name in FLOAT_FIELDS])
+        arc = self.kinds[indices] == KIND_ARC
+        arcs = np.count_nonzero(arc)
+        return SegmentRows(table, None if arcs == 0 else True if arcs == arc.size else arc)
+
     def local_positions(
         self, indices: np.ndarray, local_times: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,21 +165,7 @@ class CompiledTrajectory:
         Local times are clamped into each segment's ``[0, duration]``
         domain, mirroring the scalar segments' clamping behaviour.
         """
-        local = np.clip(local_times, 0.0, self.durations[indices])
-        kinds = self.kinds[indices]
-        ax = self.ax[indices]
-        ay = self.ay[indices]
-        # Waits and linears: anchor + velocity * t (velocity is zero for
-        # waits, so one fused expression covers both).
-        x = ax + self.bx[indices] * local
-        y = ay + self.by[indices] * local
-        arc = kinds == KIND_ARC
-        if np.any(arc):
-            angle = self.theta0[indices[arc]] + self.omega[indices[arc]] * local[arc]
-            r = self.radius[indices[arc]]
-            x[arc] = ax[arc] + r * np.cos(angle)
-            y[arc] = ay[arc] + r * np.sin(angle)
-        return x, y
+        return self.rows(indices).local_positions(local_times)
 
     def positions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World positions at an array of global times.
@@ -255,6 +254,69 @@ class CompiledTrajectory:
             theta0=theta0,
             omega=omega,
         )
+
+
+class SegmentRows:
+    """Parameters of selected segments, gathered once for many evaluations.
+
+    ``table`` has one row per field of ``FLOAT_FIELDS`` and one column
+    per selected segment.  ``arcs`` is None when no selected segment is an
+    arc, True when all of them are, and the per-column arc mask
+    otherwise, so evaluation never re-tests the kinds.  The kernel's
+    crossing search gathers each window's segments once and evaluates
+    them at every probed time; :meth:`CompiledTrajectory.local_positions`
+    is the same gather followed by the same evaluation.
+    """
+
+    __slots__ = ("table", "arcs")
+
+    def __init__(self, table: np.ndarray, arcs: "Optional[np.ndarray | bool]") -> None:
+        self.table = table
+        self.arcs = arcs
+
+    @classmethod
+    def concat(cls, first: "SegmentRows", second: "SegmentRows") -> "SegmentRows":
+        """The selections of ``first`` followed by those of ``second``."""
+        table = np.concatenate((first.table, second.table), axis=1)
+        if first.arcs is second.arcs:  # both None or both True
+            return cls(table, first.arcs)
+        masks = [
+            rows.arcs
+            if isinstance(rows.arcs, np.ndarray)
+            else np.full(rows.table.shape[1], rows.arcs is True)
+            for rows in (first, second)
+        ]
+        return cls(table, np.concatenate(masks))
+
+    @property
+    def start_times(self) -> np.ndarray:
+        """Global start time of each selected segment."""
+        return self.table[0]
+
+    def take(self, columns: np.ndarray) -> "SegmentRows":
+        """The selected segments at ``columns`` (repeats allowed)."""
+        arcs = self.arcs
+        if arcs is not None and arcs is not True:
+            arcs = arcs[columns]
+        return SegmentRows(self.table[:, columns], arcs)
+
+    def local_positions(self, local_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions at segment-local times, clamped into ``[0, duration]``."""
+        _, durations, _, ax, ay, bx, by, radius, theta0, omega = self.table
+        local = _clip(local_times, 0.0, durations)
+        if self.arcs is not True:
+            # Waits and linears: anchor + velocity * t (velocity is zero
+            # for waits, so one fused expression covers both).
+            x = ax + bx * local
+            y = ay + by * local
+            if self.arcs is None:
+                return x, y
+        angle = theta0 + omega * local
+        arc_x = ax + radius * np.cos(angle)
+        arc_y = ay + radius * np.sin(angle)
+        if self.arcs is True:
+            return arc_x, arc_y
+        return np.where(self.arcs, arc_x, x), np.where(self.arcs, arc_y, y)
 
 
 def compile_segments(

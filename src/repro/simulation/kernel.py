@@ -18,6 +18,18 @@ The numerics deliberately mirror the scalar engine case by case:
   reported event times agree with the scalar detector to floating-point
   noise and always within the configured time tolerance.
 
+The branch-and-bound (:func:`_lipschitz_first_crossing`) walks that tree
+level by level.  While many intervals are live -- a search batch starts
+with hundreds to thousands of problems -- each level is one numpy pass
+over all of them (the wide head).  Once few are live, as in nearly every
+pass of a rendezvous solve, numpy's per-call overhead dominates, so a
+narrow tail finishes in Python floats: one ``gap_fn`` call evaluates a
+few levels of each live interval's subtree, and the binary pruning is
+replayed over those values level by level.  Gap values still come from
+numpy and Python's float operations are the same IEEE operations, so the
+visited nodes, the crossing times and the ``gap_evaluations`` counts are
+exactly those of a numpy pass per level.
+
 Chunked compilation keeps memory bounded: ``Search(k)`` emits on the
 order of ``2^{2k}`` segments per round, so the kernel compiles a bounded
 number of segments, resolves every instance it can, drops solved
@@ -40,7 +52,7 @@ import numpy as np
 
 from ..algorithms.base import MobilityAlgorithm
 from ..constants import TIME_TOLERANCE
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, TrajectoryError
 from ..geometry import ORIGIN, Vec2
 from ..motion import (
     KIND_ARC,
@@ -50,6 +62,7 @@ from ..motion import (
     SegmentStreamCompiler,
     WaitMotion,
 )
+from ..motion.compiled import SegmentRows
 from ..motion.transform import is_identity_frame, transform_segments
 from ..robots import Robot
 from .events import DetectionEvent, SimulationOutcome
@@ -197,7 +210,7 @@ class _CacheEntry:
             self.done = True
             try:
                 self.final_pos = self.compiler.final_position()
-            except Exception:
+            except (TrajectoryError, InvalidParameterError):
                 self.final_pos = None
             if self.final_pos is None and self.chunks:
                 self.final_pos = self.chunks[-1].end_position()
@@ -339,7 +352,7 @@ class _ChunkSource:
         elif self._compiler is not None:
             try:
                 return self._compiler.final_position()
-            except Exception:
+            except (TrajectoryError, InvalidParameterError):
                 pass
         # A cache-cap continuation that produced no further segments (the
         # stream ended exactly at the cap) still knows where the last
@@ -422,6 +435,22 @@ def _quadratic_first_crossing(
 
 GapFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+#: Live intervals at or below which the crossing search leaves the numpy
+#: wavefront for the Python-float tail.  Measured on a 2-core x86-64 VM:
+#: a numpy pass costs ~50-70 us of call overhead however few intervals it
+#: carries; a cold rendezvous solve spends ~97% of its ~33 passes at or
+#: below 24 live intervals (median 5), while search batches enter with
+#: 150-7,000 problems; on recorded rendezvous searches any switch point
+#: from 12 to 48 measured the same within noise.
+_NARROW_LIVE = 24
+
+#: Dyadic levels the tail evaluates per ``gap_fn`` call, as
+#: ``(live intervals at most, levels)``.  Deeper blocks mean fewer calls
+#: but more Python work on midpoints that pruning then discards: on the
+#: same recorded searches and VM, 3 or 4 levels cost ~0.8-1.0 ms per solve
+#: against ~1.1 ms for 2 levels and ~2.9 ms for the binary wavefront.
+_TAIL_LEVELS = ((8, 4), (_NARROW_LIVE, 3))
+
 
 def _lipschitz_first_crossing(
     gap_fn: GapFunction,
@@ -441,18 +470,26 @@ def _lipschitz_first_crossing(
     scalar result (intervals to the right of a found crossing are pruned
     early, which only skips work past the answer).
 
+    The tree is walked level by level.  While more than ``_NARROW_LIVE``
+    intervals are live, each level is one numpy pass over all of them
+    (the wide head); once at most that many are, :func:`_narrow_tail`
+    continues in Python floats, evaluating several levels per ``gap_fn``
+    call.  Both visit the same nodes level by level and count a node
+    only when they visit it, so neither the answers nor the counts
+    depend on where the search switches between them.
+
     Returns ``(crossing times with NaN where none, per-problem gap
     evaluation counts)``.
     """
     n = int(lo.shape[0])
-    best = np.full(n, np.nan)
     counts = np.full(n, 2, dtype=np.int64)
     problems = np.arange(n)
 
-    g_lo = gap_fn(problems, lo)
-    g_hi = gap_fn(problems, hi)
-    np.fmin.at(best, problems[g_lo <= threshold], lo[g_lo <= threshold])
-    np.fmin.at(best, problems[g_hi <= threshold], hi[g_hi <= threshold])
+    g_ends = gap_fn(np.concatenate((problems, problems)), np.concatenate((lo, hi)))
+    g_lo, g_hi = g_ends[:n], g_ends[n:]
+    best = np.fmin(
+        np.where(g_lo <= threshold, lo, np.nan), np.where(g_hi <= threshold, hi, np.nan)
+    )
 
     def _prune(
         p: np.ndarray,
@@ -486,6 +523,11 @@ def _lipschitz_first_crossing(
     # re-gathering them every pass.
     concat = np.concatenate
     while p.size:
+        if p.size <= _NARROW_LIVE:
+            p, left, right, gl, gr, thr, lip = _narrow_tail(
+                gap_fn, (p, left, right, gl, gr, thr, lip), best, counts, time_tolerance
+            )
+            continue
         mid = 0.5 * (left + right)
         g_mid = gap_fn(p, mid)
         np.add.at(counts, p, 1)
@@ -504,6 +546,88 @@ def _lipschitz_first_crossing(
         gl, gr = child_gl[alive], child_gr[alive]
         thr, lip = child_thr[alive], child_lip[alive]
     return best, counts
+
+
+def _narrow_tail(
+    gap_fn: GapFunction,
+    live: tuple[np.ndarray, ...],
+    best: np.ndarray,
+    counts: np.ndarray,
+    time_tolerance: float,
+) -> tuple[np.ndarray, ...]:
+    """Continue the :func:`_lipschitz_first_crossing` wavefront in Python floats.
+
+    ``live`` holds one level's live intervals as the arrays ``(problem,
+    left, right, gap at left, gap at right, threshold, Lipschitz
+    constant)``.  Each block evaluates, in one ``gap_fn`` call, the
+    midpoints of every live interval's dyadic subtree a few levels deep,
+    then replays the binary wavefront over those values level by level:
+    each live midpoint is counted and may lower ``best``, and only then
+    are all children pruned against the updated ``best``.  Midpoints
+    under a pruned node are evaluated but neither counted nor used.
+    Python float arithmetic and comparisons are the IEEE operations the
+    wide pass performs in numpy, so every visited node, count and crossing
+    is the same.  ``best`` and ``counts`` are updated in place; returns
+    the live intervals once none remain or more than ``_NARROW_LIVE`` do.
+    """
+    intervals = list(zip(*(column.tolist() for column in live)))
+    tail_best = dict(zip(live[0].tolist(), best[live[0]].tolist()))
+    tail_counts = dict.fromkeys(tail_best, 0)
+    while intervals and len(intervals) <= _NARROW_LIVE:
+        levels = next(depth for size, depth in _TAIL_LEVELS if len(intervals) <= size)
+        block = (1 << levels) - 1
+        problems: list[int] = []
+        times: list[float] = []
+        for problem, left, right, *_ in intervals:
+            # The subtree's midpoints in heap order (node k's children are
+            # 2k + 1 and 2k + 2); its internal nodes append their halves.
+            spans = [(left, right)]
+            for a, b in spans:
+                mid = 0.5 * (a + b)
+                times.append(mid)
+                if len(spans) < block:
+                    spans += ((a, mid), (mid, b))
+            problems += [problem] * block
+        values = gap_fn(np.array(problems), np.array(times)).tolist()
+
+        frontier = [(k * block, 0, *interval) for k, interval in enumerate(intervals)]
+        for _ in range(levels):
+            for base, node, problem, left, right, _gl, _gr, thr, _lip in frontier:
+                tail_counts[problem] += 1
+                if values[base + node] <= thr:
+                    mid = 0.5 * (left + right)
+                    known = tail_best[problem]
+                    if mid < known or known != known:  # fmin: NaN is "none yet"
+                        tail_best[problem] = mid
+            # The wide pass's _prune for both children; a NaN tent means a
+            # NaN lower bound, which never passes.
+            children = []
+            for base, node, problem, left, right, gl, gr, thr, lip in frontier:
+                mid = 0.5 * (left + right)
+                g_mid = values[base + node]
+                known = tail_best[problem]
+                width = mid - left
+                if width > time_tolerance and not left >= known:
+                    tent = 0.5 * (gl + g_mid - lip * width)
+                    if tent == tent and (gl <= thr or g_mid <= thr or tent <= thr):
+                        child = (base, 2 * node + 1, problem, left, mid, gl, g_mid, thr, lip)
+                        children.append(child)
+                width = right - mid
+                if width > time_tolerance and not mid >= known:
+                    tent = 0.5 * (g_mid + gr - lip * width)
+                    if tent == tent and (g_mid <= thr or gr <= thr or tent <= thr):
+                        child = (base, 2 * node + 2, problem, mid, right, g_mid, gr, thr, lip)
+                        children.append(child)
+            frontier = children
+        intervals = [entry[2:] for entry in frontier]
+
+    for problem, count in tail_counts.items():
+        counts[problem] += count
+    for problem, value in tail_best.items():
+        best[problem] = value
+    if not intervals:
+        return tuple(column[:0] for column in live)
+    return tuple(np.array(column, dtype=ref.dtype) for column, ref in zip(zip(*intervals), live))
 
 
 # -- batched search ------------------------------------------------------------------
@@ -751,19 +875,15 @@ def _process_search_chunk(
         if np.any(arc):
             r = rows_now[arc]
             c = cols[arc]
-            arc_cx = chunk.ax[r]
-            arc_cy = chunk.ay[r]
-            arc_r = chunk.radius[r]
-            arc_t0 = chunk.theta0[r]
-            arc_w = chunk.omega[r]
+            # Probed times stay inside [0, local_hi], within each arc's
+            # duration, so the row evaluation's clamp never moves them.
+            arcs = chunk.rows(r)
             point_x = tx[c]
             point_y = ty[c]
 
             def gap_fn(problems: np.ndarray, local_times: np.ndarray) -> np.ndarray:
-                angle = arc_t0[problems] + arc_w[problems] * local_times
-                gx = arc_cx[problems] + arc_r[problems] * np.cos(angle) - point_x[problems]
-                gy = arc_cy[problems] + arc_r[problems] * np.sin(angle) - point_y[problems]
-                return np.hypot(gx, gy)
+                x, y = arcs.take(problems).local_positions(local_times)
+                return np.hypot(x - point_x[problems], y - point_y[problems])
 
             crossing, counts = _lipschitz_first_crossing(
                 gap_fn,
@@ -838,7 +958,7 @@ class _RobotStream:
                 continue
             try:
                 position = self._source.final_position()
-            except Exception:
+            except (TrajectoryError, InvalidParameterError):
                 position = self._fallback_start
             parked = WaitMotion(
                 position, max(self._limit - self._source.covered, 0.0) + 1.0
@@ -1010,19 +1130,21 @@ def _resolve_pair_windows(
         # combined top speed has no crossing (Lipschitz rejection).
         candidate = aw[gap_lo - lipschitz * width[aw] <= visibility]
         if candidate.size:
-            cand_idx_ref = idx_ref[candidate]
-            cand_idx_oth = idx_oth[candidate]
+            # Gather each candidate window's two segments once per search
+            # (which of them are arcs is decided here, not per call) and
+            # evaluate them in one pass: reference rows, then the other's.
+            rows = SegmentRows.concat(
+                chunk_ref.rows(idx_ref[candidate]), chunk_oth.rows(idx_oth[candidate])
+            )
+            shift = candidate.size
 
             def gap_fn(problems: np.ndarray, global_times: np.ndarray) -> np.ndarray:
-                ir = cand_idx_ref[problems]
-                io = cand_idx_oth[problems]
-                gx_ref, gy_ref = chunk_ref.local_positions(
-                    ir, global_times - chunk_ref.start_times[ir]
+                both = rows.take(np.concatenate((problems, problems + shift)))
+                x, y = both.local_positions(
+                    np.concatenate((global_times, global_times)) - both.start_times
                 )
-                gx_oth, gy_oth = chunk_oth.local_positions(
-                    io, global_times - chunk_oth.start_times[io]
-                )
-                return np.hypot(gx_ref - gx_oth, gy_ref - gy_oth)
+                m = problems.size
+                return np.hypot(x[:m] - x[m:], y[:m] - y[m:])
 
             found, counts = _lipschitz_first_crossing(
                 gap_fn,

@@ -23,6 +23,7 @@ from repro.motion import (
     WaitMotion,
     compile_segments,
 )
+from repro.motion.compiled import SegmentRows
 
 
 def _mixed_trajectory() -> Trajectory:
@@ -139,3 +140,71 @@ class TestSegmentStreamCompiler:
         assert compiler.next_chunk() is None
         final = compiler.final_position()
         assert (final.x, final.y) == (3.0, 4.0)
+
+
+def _masked_local_positions(compiled, indices, local_times):
+    """``CompiledTrajectory.local_positions`` before the row gather split."""
+    local = np.clip(local_times, 0.0, compiled.durations[indices])
+    ax = compiled.ax[indices]
+    ay = compiled.ay[indices]
+    x = ax + compiled.bx[indices] * local
+    y = ay + compiled.by[indices] * local
+    arc = compiled.kinds[indices] == KIND_ARC
+    if np.any(arc):
+        angle = compiled.theta0[indices[arc]] + compiled.omega[indices[arc]] * local[arc]
+        r = compiled.radius[indices[arc]]
+        x[arc] = ax[arc] + r * np.cos(angle)
+        y[arc] = ay[arc] + r * np.sin(angle)
+    return x, y
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestSegmentRows:
+    """Gathered rows evaluate bit for bit like the masked per-kind formula."""
+
+    @pytest.fixture
+    def compiled(self):
+        return SearchRound(2).local_trajectory().compile()
+
+    @pytest.mark.parametrize("selection", ["mixed", "arcs", "no-arcs"])
+    def test_local_positions_are_bit_identical(self, compiled, selection):
+        rng = np.random.default_rng(3)
+        pool = {
+            "mixed": np.arange(len(compiled)),
+            "arcs": np.flatnonzero(compiled.kinds == KIND_ARC),
+            "no-arcs": np.flatnonzero(compiled.kinds != KIND_ARC),
+        }[selection]
+        indices = rng.choice(pool, 400)
+        # Clamped on both sides as well as inside each segment.
+        local = rng.uniform(-0.5, 1.5, 400) * compiled.durations[indices]
+        arcs = compiled.rows(indices).arcs
+        if selection == "mixed":
+            assert isinstance(arcs, np.ndarray) and arcs.any() and not arcs.all()
+        else:
+            assert arcs is {"arcs": True, "no-arcs": None}[selection]
+        for got, want in zip(
+            compiled.local_positions(indices, local),
+            _masked_local_positions(compiled, indices, local),
+        ):
+            assert _same_bits(got, want)
+
+    def test_concatenated_rows_evaluate_like_each_part(self, compiled):
+        rng = np.random.default_rng(4)
+        other = SearchRound(1).local_trajectory().compile()
+        first = rng.choice(np.flatnonzero(compiled.kinds == KIND_ARC), 30)
+        second = rng.integers(len(other), size=30)
+        both = SegmentRows.concat(compiled.rows(first), other.rows(second))
+        columns = rng.integers(30, size=90)
+        times = rng.uniform(0.0, other.t_end, 90)
+        rows = both.take(np.concatenate((columns, columns + 30)))
+        x, y = rows.local_positions(np.concatenate((times, times)) - rows.start_times)
+        for part, (chunk, indices) in enumerate(((compiled, first), (other, second))):
+            picked = indices[columns]
+            want_x, want_y = _masked_local_positions(
+                chunk, picked, times - chunk.start_times[picked]
+            )
+            assert _same_bits(x[90 * part : 90 * (part + 1)], want_x)
+            assert _same_bits(y[90 * part : 90 * (part + 1)], want_y)

@@ -12,13 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms import UniversalSearch, WaitAndSearchRendezvous
+from repro.algorithms import SearchRound, UniversalSearch, WaitAndSearchRendezvous
 from repro.constants import TIME_TOLERANCE
 from repro.core import rendezvous_time_bound, theorem1_search_bound
 from repro.errors import InvalidParameterError
 from repro.geometry import Vec2
 from repro.robots import RobotAttributes
 from repro.simulation import (
+    RendezvousInstance,
     SearchInstance,
     bound_multiple_horizon,
     kernel_simulate_rendezvous,
@@ -27,6 +28,7 @@ from repro.simulation import (
     simulate_search,
     simulate_search_batch,
 )
+from repro.simulation import kernel as kernel_module
 from repro.simulation.kernel import (
     _lipschitz_first_crossing,
     _quadratic_first_crossing,
@@ -176,6 +178,50 @@ class TestPairKernelParity:
         scalar = simulate_rendezvous(UniversalSearch(), instance, 120.0)
         kernel = kernel_simulate_rendezvous(UniversalSearch(), instance, 120.0)
         assert not scalar.solved and not kernel.solved
+
+
+class TestRobotParking:
+    """A finite algorithm's robots wait at their final positions (``_RobotStream``)."""
+
+    @pytest.fixture
+    def parked(self, monkeypatch):
+        positions = []
+        wait = kernel_module.WaitMotion
+
+        def recording(position, duration):
+            positions.append(position)
+            return wait(position, duration)
+
+        monkeypatch.setattr(kernel_module, "WaitMotion", recording)
+        return positions
+
+    def test_both_robots_park_and_never_meet(self, parked):
+        # SearchRound(1) ends where it starts, so both robots park at their
+        # starts, out of sight of each other, until the horizon.
+        instance = RendezvousInstance(
+            separation=Vec2(1.5, 0.3), visibility=0.2, attributes=RobotAttributes(speed=0.5)
+        )
+        scalar = simulate_rendezvous(SearchRound(1), instance, 400.0)
+        outcome = kernel_simulate_rendezvous(SearchRound(1), instance, 400.0)
+        assert not scalar.solved and not outcome.solved
+        assert outcome.horizon == scalar.horizon == 400.0
+        assert len(parked) == 2
+        assert parked[0].is_close(Vec2(0.0, 0.0)) and parked[1].is_close(Vec2(1.5, 0.3))
+
+    def test_a_parked_robot_is_found_by_the_moving_one(self, parked):
+        # Half the time unit: the other robot finishes its round at ~49.7
+        # and waits at its start, where the reference robot sees it later.
+        instance = RendezvousInstance(
+            separation=Vec2.polar(2.0, math.pi / 2),
+            visibility=0.2,
+            attributes=RobotAttributes(time_unit=0.5),
+        )
+        scalar = simulate_rendezvous(SearchRound(1), instance, 300.0)
+        outcome = kernel_simulate_rendezvous(SearchRound(1), instance, 300.0)
+        assert scalar.solved and outcome.solved
+        assert abs(outcome.event.time - scalar.event.time) <= TIME_TOLERANCE
+        assert len(parked) == 1 and parked[0].is_close(Vec2(0.0, 2.0))
+        assert outcome.event.position_other.is_close(parked[0])
 
 
 class TestCrossingPrimitives:
