@@ -41,12 +41,11 @@ the other benchmark artefacts so future PRs can track the trajectory:
   was compiled exactly once fleet-wide;
 * ``BENCH_async.json``  -- the asyncio-transport snapshot: warm-hit
   round trips over {8, 64, 256, 512} persistent connections against
-  the threaded daemon and the asyncio daemon, the measured
-  thread-per-connection cost of each, the thread-budget connection
-  ceiling derived from it (with the raw unmodeled sustained counts
-  right next to it), and the ``subscribe`` streamed sweep of the large
-  search suite -- cold digest bit-identical to ``BatchRunner.run()``,
-  warm pass all cache hits, zero leaked event-loop tasks;
+  the daemon, with its measured thread-per-connection cost and the
+  sustained connection count, and the ``subscribe`` streamed sweep of
+  the large search suite -- cold digest bit-identical to
+  ``BatchRunner.run()``, warm pass all cache hits, zero leaked
+  event-loop tasks;
 * ``BENCH_montecarlo.json`` -- the fault-ensemble snapshot: the
   ``montecarlo`` backend over the ``fault-crash-sweep`` and
   ``fault-byzantine`` suites, reporting trials/s serially and through
@@ -54,14 +53,14 @@ the other benchmark artefacts so future PRs can track the trajectory:
   independent serial and pooled runs (the seeded determinism
   contract);
 * ``BENCH_sweep.json`` -- the distributed-sweep snapshot: the large
-  search sweep shipped to a 2-worker async cluster as one partitioned
+  search sweep shipped to a 2-worker cluster as one partitioned
   ``sweep`` (each worker runs its partition as a single local batch
-  plan) vs the per-spec-routed ``subscribe`` baseline on an identical
-  fresh fleet, the warm replay, the ``fold`` pass (merged aggregate
-  tables, gated >=10x fewer bytes on the wire than the streamed
-  envelopes), and a mid-sweep worker kill -- every digest bit-identical
-  to a local ``BatchRunner.run()``, the fleet batch tier engaged, and
-  the killed worker respawned.
+  plan) and as a ``subscribe`` on an identical fresh fleet (the same
+  partitions, the subscribe record shapes), the warm replay, the
+  ``fold`` pass (merged aggregate tables, gated >=10x fewer bytes on
+  the wire than the streamed envelopes), and a mid-sweep worker kill
+  -- every digest bit-identical to a local ``BatchRunner.run()``, the
+  fleet batch tier engaged, and the killed worker respawned.
 
 ``solved`` counts only specs whose simulated event actually fired;
 ``bound_only`` counts analytic answers (``solved is None`` -- no
@@ -113,7 +112,6 @@ SERVE_DUPLICATION = 4
 SERVE_CLIENTS = 8
 MONTECARLO_SUITES = ("fault-crash-sweep", "fault-byzantine")
 ASYNC_CONNECTION_STEPS = (8, 64, 256, 512)
-ASYNC_THREAD_BUDGET = 96
 ASYNC_SWEEP_SUITE = KERNEL_LARGE_SUITE
 SWEEP_SUITE = KERNEL_LARGE_SUITE
 SWEEP_WORKERS = 2
@@ -458,9 +456,11 @@ def _serve_round(
     """
     import json as json_module
 
-    from repro.service import ReproServer, request_lines
+    from repro.service import AsyncReproServer, request_lines
 
-    with ReproServer(backend=backend, store=store_dir, max_inflight=SERVE_CLIENTS) as server:
+    with AsyncReproServer(
+        backend=backend, store=store_dir, max_inflight=SERVE_CLIENTS
+    ) as server:
         server.serve_background()
         record, first_seen, _ = _fire_workload(server.host, server.port, specs, binary=binary)
         (metrics_line,) = request_lines(
@@ -487,7 +487,7 @@ def run_serve_benchmark(quick: bool) -> dict:
     import os as os_module
 
     from repro.api import SolveResult, solve
-    from repro.service import ReproServer
+    from repro.service import AsyncReproServer
 
     backend = "auto"
     suite = spec_suite(SERVE_SUITE)
@@ -532,7 +532,7 @@ def run_serve_benchmark(quick: bool) -> dict:
         # Warm-hit latency tiers on one fresh daemon: a persistent
         # connection re-requesting one spec, JSON vs binary.
         hot_rounds = 50 if quick else 300
-        with ReproServer(backend=backend, max_inflight=SERVE_CLIENTS) as server:
+        with AsyncReproServer(backend=backend, max_inflight=SERVE_CLIENTS) as server:
             server.serve_background()
             hot_json = _hot_latency(server.host, server.port, suite[0], False, hot_rounds)
             hot_binary = _hot_latency(server.host, server.port, suite[0], True, hot_rounds)
@@ -872,9 +872,9 @@ def _async_scaling_round(host: str, port: int, spec, connections: int, rounds: i
     growth is the server's alone).  All connections are opened first,
     one unrecorded probe round forces the server to stand up whatever
     per-connection state it uses, the peak thread count is sampled --
-    the servers run in-process, so ``threading.active_count()`` sees
-    their connection threads -- and then ``rounds`` warm-hit round
-    trips run concurrently on every connection.
+    the server runs in-process, so ``threading.active_count()`` sees
+    any thread it spends per connection -- and then ``rounds`` warm-hit
+    round trips run concurrently on every connection.
     """
     import asyncio
     import threading
@@ -956,8 +956,8 @@ def _async_scaling_scenario(server, spec, steps, rounds: int) -> list[dict]:
             round(growth / record["connected"], 3) if record["connected"] else None
         )
         records.append(record)
-        # Let the previous step's per-connection threads retire so the
-        # next baseline is clean (the async transport has none).
+        # Let any thread the previous step started retire so the next
+        # baseline is clean.
         deadline = time.monotonic() + 10.0
         while threading.active_count() > baseline and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -965,22 +965,14 @@ def _async_scaling_scenario(server, spec, steps, rounds: int) -> list[dict]:
 
 
 def run_async_benchmark(quick: bool) -> dict:
-    """The asyncio-transport snapshot: connection ceiling + streamed sweep.
+    """The asyncio-transport snapshot: connection scaling + streamed sweep.
 
     Two stories, both against in-process daemons on the same workload:
 
     * **Connection scaling** -- {8, 64, 256, 512} persistent
-      connections doing warm-hit round trips against the threaded and
-      the asyncio transport.  The headline *ceiling* is a thread-budget
-      model: the threaded daemon spends one OS thread per open
-      connection (measured, not assumed), the asyncio daemon spends
-      zero, and the ceiling is how many connections fit in
-      ``ASYNC_THREAD_BUDGET`` threads -- the budget a constrained
-      container (default ``RLIMIT_NPROC``-style caps) actually gives a
-      process.  The *raw* sustained-connection counts are reported
-      unmodeled right next to it: this benchmark host caps neither
-      transport, so both sustain every tested step and the honest
-      difference is the measured thread cost, not a refused connect.
+      connections doing warm-hit round trips against the daemon, with
+      its measured per-connection thread cost (the event loop spends
+      none) and the largest step it sustained without a failure.
     * **Streamed sweep** -- the large search sweep pushed through the
       ``subscribe`` verb twice on one connection; the cold pass must
       reproduce ``BatchRunner.run()``'s order-independent fingerprint
@@ -991,76 +983,37 @@ def run_async_benchmark(quick: bool) -> dict:
     import os
 
     from repro.experiments.manifest import fingerprint_digest
-    from repro.service import AsyncReproServer, ReproServer, ServiceClient
+    from repro.service import AsyncReproServer, ServiceClient
 
     steps = ASYNC_CONNECTION_STEPS
     rounds = 3 if quick else 10
     spec = spec_suite(SERVE_SUITE)[0]
 
-    scaling: dict[str, dict] = {}
-    for name, server_class in (("threaded", ReproServer), ("asyncio", AsyncReproServer)):
-        with server_class(backend="auto") as server:
-            server.serve_background()
-            with ServiceClient(server.host, server.port) as warmup:
-                for _ in range(2):
-                    response = warmup.request({"op": "solve", "spec": spec.to_dict()})
-                    assert response.get("ok"), response
-            records = _async_scaling_scenario(server, spec, steps, rounds)
-        costs = [
-            record["threads_per_connection"]
-            for record in records
-            if record["threads_per_connection"] is not None
-        ]
-        threads_per_connection = max(costs) if costs else None
-        sustained = max(
+    with AsyncReproServer(backend="auto") as server:
+        server.serve_background()
+        with ServiceClient(server.host, server.port) as warmup:
+            for _ in range(2):
+                response = warmup.request({"op": "solve", "spec": spec.to_dict()})
+                assert response.get("ok"), response
+        records = _async_scaling_scenario(server, spec, steps, rounds)
+    costs = [
+        record["threads_per_connection"]
+        for record in records
+        if record["threads_per_connection"] is not None
+    ]
+    scaling = {
+        "steps": records,
+        "threads_per_connection": max(costs) if costs else None,
+        "sustained_connections": max(
             (
                 record["connections"]
                 for record in records
                 if record["connected"] == record["connections"] and not record["failures"]
             ),
             default=0,
-        )
-        if threads_per_connection is not None and threads_per_connection >= 0.05:
-            modeled_ceiling = int(
-                (ASYNC_THREAD_BUDGET - records[0]["baseline_threads"])
-                / threads_per_connection
-            )
-        else:
-            # No measurable per-connection thread: the model does not
-            # bind, the ceiling is every connection we could throw at it.
-            modeled_ceiling = sustained
-        scaling[name] = {
-            "steps": records,
-            "threads_per_connection": threads_per_connection,
-            "sustained_connections": sustained,
-            "modeled_ceiling": modeled_ceiling,
-        }
-        if name == "asyncio":
-            scaling[name]["leaked_tasks"] = len(server.leaked_tasks)
-
-    ceiling_threaded = max(1, scaling["threaded"]["modeled_ceiling"])
-    ceiling_async = scaling["asyncio"]["modeled_ceiling"]
-    ceiling_ratio = round(ceiling_async / ceiling_threaded, 2)
-
-    # Warm p50 comparison at the largest step both transports sustained
-    # *within the threaded model's budget* -- comparing latency at a
-    # connection count the threaded daemon could not legitimately hold
-    # would flatter the async transport.
-    comparable = [
-        record["connections"]
-        for record in scaling["threaded"]["steps"]
-        if not record["failures"] and record["connections"] <= ceiling_threaded
-    ]
-    at_connections = max(comparable) if comparable else steps[0]
-
-    def _p50(name: str) -> float:
-        for record in scaling[name]["steps"]:
-            if record["connections"] == at_connections and record["latency_ms"]:
-                return record["latency_ms"]["p50"]
-        return float("inf")
-
-    threaded_p50 = _p50("threaded")
-    async_p50 = _p50("asyncio")
+        ),
+        "leaked_tasks": len(server.leaked_tasks),
+    }
 
     # -- the streamed sweep -------------------------------------------------
     suite_name = SERVE_SUITE if quick else ASYNC_SWEEP_SUITE
@@ -1100,58 +1053,25 @@ def run_async_benchmark(quick: bool) -> dict:
     unique = len(expected_hashes)
 
     gates = {
-        "ceiling_ratio_at_least_5": ceiling_ratio >= 5.0,
-        "async_scaling_all_sustained": scaling["asyncio"]["sustained_connections"]
-        == max(steps),
+        "async_scaling_all_sustained": scaling["sustained_connections"] == max(steps),
         "digest_identical_to_batch_runner": cold["fingerprint_digest"] == expected_digest
         and warm["fingerprint_digest"] == expected_digest,
         "completion_set_identical_to_run": cold_hashes == expected_hashes,
         "warm_pass_all_cache_hits": warm["sources"] == {"cache": unique},
-        "async_warm_p50_within_budget": async_p50 <= threaded_p50 * 1.25,
-        "zero_leaked_tasks": scaling["asyncio"]["leaked_tasks"] == 0
-        and not server.leaked_tasks,
+        "zero_leaked_tasks": scaling["leaked_tasks"] == 0 and not server.leaked_tasks,
     }
 
     return {
-        "benchmark": "repro.service asyncio transport: connection ceiling + subscribe",
+        "benchmark": "repro.service asyncio transport: connection scaling + subscribe",
         "library_version": __version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "generated_at_unix": int(time.time()),
         "quick": quick,
-        "thread_budget": ASYNC_THREAD_BUDGET,
         "connection_steps": list(steps),
         "warm_rounds_per_connection": rounds,
         "scaling": scaling,
-        "connection_ceiling": {
-            "threaded": ceiling_threaded,
-            "asyncio": ceiling_async,
-            "ratio": ceiling_ratio,
-            "target_ratio": 5.0,
-            "model": (
-                f"connections that fit a {ASYNC_THREAD_BUDGET}-thread budget at the "
-                "measured per-connection thread cost; the asyncio ceiling is the "
-                "largest tested step (a floor, not a limit)"
-            ),
-            "raw_sustained": {
-                "threaded": scaling["threaded"]["sustained_connections"],
-                "asyncio": scaling["asyncio"]["sustained_connections"],
-                "note": (
-                    "this host caps neither transport, so the threaded daemon also "
-                    "held every tested step; the modeled ceiling prices its "
-                    "measured thread-per-connection cost, which is the resource "
-                    "a capped container runs out of"
-                ),
-            },
-        },
-        "warm_p50": {
-            "at_connections": at_connections,
-            "threaded_ms": threaded_p50,
-            "asyncio_ms": async_p50,
-            "equal_or_better": async_p50 <= threaded_p50,
-            "budget_ratio": 1.25,
-        },
         "subscribe_sweep": {
             "suite": suite_name,
             "specs": len(suite),
@@ -1245,12 +1165,13 @@ def _fold_tables_close(merged: dict, local: dict, tolerance: float = 1e-6) -> bo
 
 
 def run_sweep_benchmark(quick: bool) -> dict:
-    """The distributed-sweep snapshot: partitioned batch plans vs routing.
+    """The distributed-sweep snapshot: partitioned batch plans over the fleet.
 
-    Three fresh 2-worker async fleets on the large search sweep:
+    Three fresh 2-worker fleets on the large search sweep:
 
-    * **baseline** -- the PR-8 path: ``subscribe`` dissolves the suite
-      into per-spec routed solves, one round trip of work per spec;
+    * **subscribe** -- the ``subscribe`` verb, cold: the router runs it
+      through the sweep's partitions and answers with the subscribe
+      ack, records and summary, whose digest must equal the local run's;
     * **sweep** -- the ``sweep`` verb ships each worker its whole
       partition as one request; the worker runs it as a single local
       batch plan (LRU / store / kernel batch / pool tiers all active)
@@ -1288,15 +1209,14 @@ def run_sweep_benchmark(quick: bool) -> dict:
             workers=SWEEP_WORKERS,
             backend=fleet_backend,
             store=None,
-            async_workers=True,
         )
-        router = boot_router(supervisor, use_async=True, backend=fleet_backend)
+        router = boot_router(supervisor, backend=fleet_backend)
         router.serve_background()
         return supervisor, router
 
     scenarios: dict[str, dict] = {}
 
-    # Fleet A: the per-spec-routed subscribe baseline, cold.
+    # Fleet A: the subscribe verb, cold.
     _, router = fleet(backend)
     with router:
         with ServiceClient(router.host, router.port, timeout=300) as client:
@@ -1349,8 +1269,8 @@ def run_sweep_benchmark(quick: bool) -> dict:
     fold_bytes = fold["bytes_received"]
 
     gates = {
-        "distributed_beats_per_spec_subscribe": cold["wall_time_s"]
-        < scenarios["subscribe_cold"]["wall_time_s"],
+        "subscribe_digest_parity": scenarios["subscribe_cold"]["fingerprint_digest"]
+        == expected_digest,
         "fleet_batch_tier_engaged": cold["sources"].get("batch", 0) > 0
         and all(row["completed"] > 0 for row in cold["partitions"]),
         "digest_parity_cold": cold["fingerprint_digest"] == expected_digest,
@@ -1381,11 +1301,6 @@ def run_sweep_benchmark(quick: bool) -> dict:
         "batch_runner_fold_digest": expected_fold_digest,
         "scenarios": scenarios,
         "sweep_counters": sweep_counters,
-        "speedup_sweep_vs_subscribe": round(
-            scenarios["subscribe_cold"]["wall_time_s"] / cold["wall_time_s"], 2
-        )
-        if cold["wall_time_s"]
-        else None,
         "fold_bytes_reduction": round(stream_bytes / fold_bytes, 1)
         if fold_bytes
         else None,
@@ -1584,8 +1499,8 @@ def main() -> int:
     if failed_async_gates:
         print(
             f"ERROR: async benchmark gates failed: {', '.join(failed_async_gates)} "
-            f"(ceiling {async_snapshot['connection_ceiling']}, "
-            f"warm p50 {async_snapshot['warm_p50']})",
+            f"(sustained {async_snapshot['scaling']['sustained_connections']} "
+            f"connections, subscribe {async_snapshot['subscribe_sweep']})",
             file=sys.stderr,
         )
         return 1
@@ -1595,8 +1510,8 @@ def main() -> int:
     if failed_sweep_gates:
         print(
             f"ERROR: distributed sweep gates failed: {', '.join(failed_sweep_gates)} "
-            f"(speedup {sweep_snapshot['speedup_sweep_vs_subscribe']}, "
-            f"fold bytes reduction {sweep_snapshot['fold_bytes_reduction']})",
+            f"(fold bytes reduction {sweep_snapshot['fold_bytes_reduction']}, "
+            f"kill repartitioned {sweep_snapshot['kill_repartitioned']})",
             file=sys.stderr,
         )
         return 1

@@ -4,7 +4,7 @@ Run with::
 
     PYTHONPATH=src python benchmarks/cluster_smoke.py [--suite NAME] [--workers N]
 
-Boots a worker fleet plus a :class:`~repro.cluster.ShardRouter` on
+Boots a worker fleet plus a :class:`~repro.cluster.AsyncShardRouter` on
 ephemeral ports with a fresh primary store, then pushes the quick suite
 through the router **twice** and fails (non-zero exit) unless:
 
@@ -39,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api import BatchRunner, ResultStore, SolveResult
-from repro.cluster import ClusterSupervisor, ShardRouter, boot_router
+from repro.cluster import AsyncShardRouter, ClusterSupervisor, boot_router
 from repro.service import ServiceClient, request_lines
 from repro.workloads import spec_suite
 
@@ -52,7 +52,7 @@ def shm_entries() -> set:
         return set()
 
 
-def _push(router: ShardRouter, specs: list) -> list[dict]:
+def _push(router: AsyncShardRouter, specs: list) -> list[dict]:
     lines = [
         json.dumps({"op": "solve", "spec": spec.to_dict(), "id": index})
         for index, spec in enumerate(specs)

@@ -4,11 +4,8 @@ Run with::
 
     PYTHONPATH=src python benchmarks/serve_smoke.py [--suite NAME] [--clients N]
 
-With ``--async`` the same gate runs against the asyncio transport
-(:class:`~repro.service.AsyncReproServer`) — the wire format is
-byte-compatible, so every assertion below applies unchanged.
-
-Starts ``repro serve`` on an ephemeral port, streams every spec of the
+Starts the ``repro serve`` daemon (:class:`~repro.service.AsyncReproServer`)
+on an ephemeral port, streams every spec of the
 suite (plus one duplicate pass, so the caches have something to answer)
 through concurrent socket clients, and fails (non-zero exit) unless:
 
@@ -37,7 +34,7 @@ import sys
 import threading
 
 from repro.api import BatchRunner, SolveResult
-from repro.service import AsyncReproServer, ReproServer, ServiceClient, request_lines
+from repro.service import AsyncReproServer, ServiceClient, request_lines
 from repro.workloads import spec_suite
 
 
@@ -54,12 +51,6 @@ def main() -> int:
     parser.add_argument("--suite", default="search-sweep", help="workload suite to stream")
     parser.add_argument("--clients", type=int, default=8, help="concurrent socket clients")
     parser.add_argument("--backend", default="auto", help="daemon default backend")
-    parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="run the gate against the asyncio transport instead of the threaded one",
-    )
     namespace = parser.parse_args()
 
     suite = spec_suite(namespace.suite)
@@ -75,14 +66,9 @@ def main() -> int:
     binary_responses: list[dict] = []
     lock = threading.Lock()
 
-    server_class = AsyncReproServer if namespace.use_async else ReproServer
-    with server_class(backend=namespace.backend, max_inflight=namespace.clients) as server:
+    with AsyncReproServer(backend=namespace.backend, max_inflight=namespace.clients) as server:
         server.serve_background()
-        transport = "asyncio" if namespace.use_async else "threaded"
-        print(
-            f"serve smoke: {transport} daemon on {server.address}, "
-            f"{len(workload)} requests"
-        )
+        print(f"serve smoke: daemon on {server.address}, {len(workload)} requests")
 
         def client(slot: int) -> None:
             lines = [

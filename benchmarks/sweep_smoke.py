@@ -4,7 +4,7 @@ Run with::
 
     PYTHONPATH=src python benchmarks/sweep_smoke.py [--suite NAME] [--workers N]
 
-Boots an async worker fleet behind an :class:`~repro.cluster.AsyncShardRouter`
+Boots a worker fleet behind an :class:`~repro.cluster.AsyncShardRouter`
 (ephemeral ports, fresh primary store) and ships the quick suite through
 the partitioned ``sweep`` verb **twice** -- cold, then warm -- plus one
 ``fold`` pass, and fails (non-zero exit) unless:
@@ -127,14 +127,13 @@ def main() -> int:
         workers=namespace.workers,
         backend=namespace.backend,
         store=store_dir,
-        async_workers=True,
     )
     try:
-        router = boot_router(supervisor, use_async=True, backend=namespace.backend)
+        router = boot_router(supervisor, backend=namespace.backend)
         try:
             router.serve_background()
             print(
-                f"sweep smoke: async router on {router.address}, "
+                f"sweep smoke: router on {router.address}, "
                 f"{namespace.workers} worker(s) "
                 f"({', '.join(handle.address or '?' for handle in supervisor.handles)}), "
                 f"{len(suite)} specs x 2 passes + fold"

@@ -6,7 +6,7 @@ Sub-commands::
     repro solve        --spec-file specs.json --backend analytic --processes 4
     repro solve        --spec-file specs.json --store .repro-store
     repro solve        --stdin-jsonl < requests.jsonl
-    repro serve        --port 7767 --backend auto --store .repro-store [--workers 4] [--async]
+    repro serve        --port 7767 --backend auto --store .repro-store [--workers 4]
     repro sweep        search-sweep-large [--connect HOST:PORT --subscribe] [--json]
     repro cluster      status --port 7767 [--json]
     repro feasibility  --speed 1.0 --time-unit 0.5 --orientation 0 --chirality 1
@@ -33,22 +33,21 @@ fresh solves are recorded for the next one (the ``REPRO_STORE``
 environment variable sets a default; ``--no-store`` overrides it).
 ``repro store`` inspects and maintains a store directory.
 
-``serve`` runs the long-lived solver daemon: JSON-Lines over TCP, one
-request per line (``solve`` / ``health`` / ``metrics`` verbs), request
-coalescing and admission control via :mod:`repro.service`.  ``serve
---async`` swaps the thread-per-connection transport for the asyncio
-event loop -- same wire format, far higher connection ceiling, plus the
-streamed ``subscribe`` verb that ``repro sweep SUITE --connect ...
---subscribe`` drives: the whole suite goes out on one connection and
-per-spec results stream back in completion order, ending in an
-order-independent fingerprint digest.  ``serve --workers N`` shards the
-same wire format over N supervised worker processes behind a
-consistent-hash router (:mod:`repro.cluster`); with ``--async`` the
-router also accepts the partitioned ``sweep`` verb that ``repro sweep
-SUITE --connect ... --distributed`` drives -- each worker runs its spec
+``serve`` runs the long-lived solver daemon on one asyncio event loop:
+JSON-Lines over TCP, one request per line (``solve`` / ``health`` /
+``metrics`` verbs), request coalescing and admission control via
+:mod:`repro.service`, plus the streamed ``subscribe`` verb that ``repro
+sweep SUITE --connect ... --subscribe`` drives: the whole suite goes
+out on one connection and per-spec results stream back in completion
+order, ending in an order-independent fingerprint digest.  ``serve
+--workers N`` shards the same wire format over N supervised worker
+processes behind a consistent-hash router (:mod:`repro.cluster`) that
+also accepts the partitioned ``sweep`` verb that ``repro sweep SUITE
+--connect ... --distributed`` drives -- each worker runs its spec
 partition as one local batch plan, completions interleave back in
 completion order, and ``--fold`` returns merged per-(kind, backend)
-aggregate tables instead of per-spec envelopes.
+aggregate tables instead of per-spec envelopes.  ``--async`` is still
+accepted and changes nothing: asyncio is the only transport.
 ``repro cluster status`` prints the per-shard health and metrics of a
 running router.  SIGTERM and SIGINT both drain gracefully, so buffered
 store segments are published before the process exits.  ``solve
@@ -294,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with --connect: submit the whole suite on one connection and "
-            "stream per-spec results back in completion order "
-            "(needs `repro serve --async`)"
+            "stream per-spec results back in completion order"
         ),
     )
     sweep.add_argument(
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
             "with --connect: ship the suite as one partitioned sweep -- the "
             "cluster front partitions the unique specs across shards and each "
             "worker runs its partition as one local batch plan, all execution "
-            "tiers active (needs `repro serve --workers N --async`)"
+            "tiers active"
         ),
     )
     sweep.add_argument(
@@ -366,15 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
             "router (1 = the single-process daemon)"
         ),
     )
-    serve.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help=(
-            "serve on the asyncio transport: same wire format, far more "
-            "concurrent connections, and the streamed `subscribe` sweep verb"
-        ),
-    )
+    # Kept so existing command lines keep working: asyncio is the only
+    # transport, so the flag changes nothing.
+    serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
         "--port-file",
         type=str,
@@ -779,7 +771,7 @@ def _command_serve(namespace: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--workers must be >= 1, got {namespace.workers!r}")
     if namespace.workers > 1:
         return _command_serve_cluster(namespace)
-    from .service import AsyncReproServer, ReproServer, SolverService
+    from .service import AsyncReproServer, SolverService
 
     service = SolverService(
         backend=namespace.backend,
@@ -787,14 +779,7 @@ def _command_serve(namespace: argparse.Namespace) -> int:
         max_inflight=namespace.max_inflight,
         queue_limit=namespace.queue_limit,
     )
-    if namespace.use_async:
-        server = AsyncReproServer(
-            service=service, host=namespace.host, port=namespace.port
-        )
-        transport_text = ", asyncio"
-    else:
-        server = ReproServer(service=service, host=namespace.host, port=namespace.port)
-        transport_text = ""
+    server = AsyncReproServer(service=service, host=namespace.host, port=namespace.port)
     # ``is not None``: an empty ResultStore has len() == 0 and is falsy.
     store_text = (
         f", store {service.runner.store.path}" if service.runner.store is not None else ""
@@ -802,7 +787,7 @@ def _command_serve(namespace: argparse.Namespace) -> int:
     print(
         f"repro serve: listening on {server.address} "
         f"(backend {namespace.backend}, max in-flight {namespace.max_inflight}"
-        f"{transport_text}{store_text})",
+        f"{store_text})",
         flush=True,
     )
     _write_port_file(namespace, server.address)
@@ -847,7 +832,6 @@ def _command_serve_cluster(namespace: argparse.Namespace) -> int:
         store=_store_path_from(namespace),
         max_inflight=namespace.max_inflight,
         queue_limit=namespace.queue_limit,
-        async_workers=namespace.use_async,
     )
     # Workers are detached processes (they survive parent death), so the
     # signal handlers must cover the spawn window too: a SIGTERM while
@@ -872,7 +856,6 @@ def _command_serve_cluster(namespace: argparse.Namespace) -> int:
         try:
             router = boot_router(
                 supervisor,
-                use_async=namespace.use_async,
                 host=namespace.host,
                 port=namespace.port,
                 backend=namespace.backend,
@@ -1218,7 +1201,7 @@ def _command_sweep(namespace: argparse.Namespace) -> int:
 
     Four execution paths, one outcome shape: locally through the shared
     :class:`BatchRunner`, remotely one solve per round-trip, remotely
-    streamed through the async daemon's ``subscribe`` verb, or shipped
+    streamed through the daemon's ``subscribe`` verb, or shipped
     as one partitioned ``--distributed`` sweep that the cluster front
     spreads across its workers -- the digest is order-independent, so
     all of them agree bit-for-bit on the same suite (``--fold`` swaps it

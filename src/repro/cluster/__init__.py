@@ -4,7 +4,7 @@ The single-process daemon (:mod:`repro.service`) tops out at one
 interpreter; this package is the next rung of the ROADMAP's scaling
 ladder: N worker processes, each a full ``repro serve`` daemon with its
 own :class:`~repro.service.service.SolverService` and store directory,
-behind one :class:`ShardRouter` front daemon.
+behind one :class:`AsyncShardRouter` front daemon.
 
 * :mod:`repro.cluster.hashing` -- :class:`HashRing`: deterministic
   consistent hashing of the ``(backend, spec_hash)`` routing key onto
@@ -13,10 +13,11 @@ behind one :class:`ShardRouter` front daemon.
   spawn/respawn of the worker fleet (ephemeral ports published through
   ``--port-file``), store seeding from the primary on start and
   store merge back into the primary on drain;
-* :mod:`repro.cluster.router`  -- :class:`ShardRouter`: the front
-  daemon speaking the unchanged JSON-Lines wire format, with
+* :mod:`repro.cluster.router`  -- :class:`AsyncShardRouter`: the
+  asyncio front daemon speaking the unchanged wire formats, with
   router-side request coalescing, bounded-retry failover along the
-  ring, per-shard metrics and worker health probes.
+  ring, partitioned ``sweep``/``subscribe`` streams, per-shard metrics
+  and worker health probes.
 
 The spec hash already content-addresses the request space (the LRU,
 the store and the coalescing all key on it), so sharding by it gives
@@ -27,16 +28,15 @@ bit-identical envelopes.
 
 Quickstart (also ``repro serve --workers 4``)::
 
-    from repro.cluster import ClusterSupervisor, ShardRouter
+    from repro.cluster import ClusterSupervisor, boot_router
 
     supervisor = ClusterSupervisor(workers=4, backend="auto", store=".repro-store")
-    supervisor.start()
-    with ShardRouter(supervisor, port=7767) as router:
+    with boot_router(supervisor, port=7767) as router:
         router.serve_forever()   # clients speak the ordinary wire format
 """
 
 from .hashing import HashRing, shard_key
-from .router import CLUSTER_STATUS_OP, AsyncShardRouter, ShardRouter, boot_router
+from .router import CLUSTER_STATUS_OP, AsyncShardRouter, boot_router
 from .worker import ClusterSupervisor, WorkerHandle
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "CLUSTER_STATUS_OP",
     "ClusterSupervisor",
     "HashRing",
-    "ShardRouter",
     "WorkerHandle",
     "boot_router",
     "shard_key",

@@ -1,11 +1,11 @@
-"""The shard router: one front daemon over N worker daemons.
+"""The shard router: one asyncio front daemon over N worker daemons.
 
-A :class:`ShardRouter` is a :class:`~repro.service.daemon.GracefulLineServer`
-that speaks **exactly** the JSON-Lines wire format of
+An :class:`AsyncShardRouter` runs on the transport skeleton of
+:mod:`repro.service.aio` and speaks **exactly** the wire formats of
 :mod:`repro.service.protocol` -- clients cannot tell a router from a
 single daemon -- but answers ``solve`` requests by consistent-hashing
 ``(backend, spec_hash)`` onto a supervised worker fleet and proxying
-the line over a pooled connection.  What the router adds on top of
+the request over a pooled connection.  What the router adds on top of
 plain proxying:
 
 * **router-side coalescing** -- concurrent identical requests cost one
@@ -19,9 +19,11 @@ plain proxying:
   retrying until ``route_timeout`` before answering ``ok: false``.  A
   re-routed solve is safe because the backends are deterministic:
   any worker produces the bit-identical envelope;
-* **shard metrics** -- per-shard forwarded/failure/degraded counters
-  (the ``metrics`` verb) and per-worker health probes (the ``health``
-  and ``cluster-status`` verbs).
+* **partitioned sweeps** -- the ``sweep`` and ``subscribe`` verbs ship
+  one spec partition per shard and interleave the shard streams back;
+* **shard metrics** -- per-shard forwarded/failure/degraded and sweep
+  counters (the ``metrics`` verb) and per-worker health probes (the
+  ``health`` and ``cluster-status`` verbs).
 
 The router holds no solver state at all; stopping it drains the fleet
 (every worker flushes its store segments) and merges the worker stores
@@ -38,14 +40,12 @@ from typing import Any, Optional
 
 from ..errors import ClusterError, ReproError
 from ..service.aio import AsyncLineServer
-from ..service.daemon import GracefulLineServer
 from ..service.frames import (
     FORMAT_BINARY,
     HELLO_OP,
     FrameError,
     decode_payload,
     encode_frame,
-    materialize_raw,
     read_frame,
 )
 from ..service.metrics import ServiceMetrics
@@ -57,7 +57,6 @@ from ..service.protocol import (
     SUBSCRIBE_OP,
     SUMMARY_OP,
     SWEEP_OP,
-    decode_request,
     error_response,
     hello_response,
     normalize_request,
@@ -73,7 +72,7 @@ from ..exec.plan import partition_specs
 from .hashing import HashRing, shard_key
 from .worker import ClusterSupervisor, WorkerHandle
 
-__all__ = ["AsyncShardRouter", "ShardRouter", "CLUSTER_STATUS_OP", "boot_router"]
+__all__ = ["AsyncShardRouter", "CLUSTER_STATUS_OP", "boot_router"]
 
 
 class _WorkerDied(Exception):
@@ -115,16 +114,14 @@ class _WorkerPool:
 
     Connections are tagged with the worker generation they were opened
     against; a respawned worker (new port, new process) invalidates
-    every pooled connection of older generations.  With ``binary`` the
-    pool offers the ``hello`` upgrade on every fresh connection and
-    remembers per connection what was negotiated, so a fleet of old
-    workers degrades to JSON transparently.
+    every pooled connection of older generations.  Every fresh
+    connection offers the binary ``hello`` upgrade and remembers what
+    was negotiated, so a worker that declines is spoken to in JSON.
     """
 
-    def __init__(self, handle: WorkerHandle, timeout: float, binary: bool = True) -> None:
+    def __init__(self, handle: WorkerHandle, timeout: float) -> None:
         self.handle = handle
         self.timeout = timeout
-        self.binary = binary
         self._lock = threading.Lock()
         self._idle: list[tuple[int, socket.socket, Any, bool]] = []
 
@@ -140,23 +137,21 @@ class _WorkerPool:
                 f"worker {self.handle.worker_id} refused a connection: {error}"
             ) from error
         reader = conn.makefile("rb")
-        is_binary = False
-        if self.binary:
-            try:
-                hello = json.dumps({"op": HELLO_OP, "format": FORMAT_BINARY}, allow_nan=False)
-                conn.sendall((hello + "\n").encode("utf-8"))
-                raw = reader.readline()
-                answer = json.loads(raw.decode("utf-8")) if raw else {}
-                is_binary = bool(
-                    isinstance(answer, dict)
-                    and answer.get("ok")
-                    and answer.get("format") == FORMAT_BINARY
-                )
-            except (OSError, ValueError) as error:
-                conn.close()
-                raise _WorkerDied(
-                    f"worker {self.handle.worker_id} failed the hello round-trip: {error}"
-                ) from error
+        try:
+            hello = json.dumps({"op": HELLO_OP, "format": FORMAT_BINARY}, allow_nan=False)
+            conn.sendall((hello + "\n").encode("utf-8"))
+            raw = reader.readline()
+            answer = json.loads(raw.decode("utf-8")) if raw else {}
+            is_binary = bool(
+                isinstance(answer, dict)
+                and answer.get("ok")
+                and answer.get("format") == FORMAT_BINARY
+            )
+        except (OSError, ValueError) as error:
+            conn.close()
+            raise _WorkerDied(
+                f"worker {self.handle.worker_id} failed the hello round-trip: {error}"
+            ) from error
         return generation, conn, reader, is_binary
 
     def request(self, data: dict[str, Any], timeout: Optional[float] = None) -> dict[str, Any]:
@@ -269,8 +264,152 @@ class _ShardCounters:
         }
 
 
-class ShardRouter(GracefulLineServer):
-    """The sharded serving front: routes, coalesces, fails over.
+class _SweepState:
+    """Shared accounting of one partitioned sweep across shard threads.
+
+    Every shard stream funnels through here: records get their global
+    ``seq`` and the client's ``id`` stamped under one lock (so the wire
+    order matches the sequence numbers), a completed-spec-hash set
+    guards against duplicate records when a failover races a late
+    delivery, and per-shard counters accumulate for the summary's
+    partition table.  Emission happens under the lock too -- a slow
+    client backpressures every shard reader, which is exactly the
+    bounded-memory contract of the subscription bridge.  Sweep records
+    also name their ``shard``; subscribe records keep the single-daemon
+    shape.
+    """
+
+    def __init__(
+        self, router: "AsyncShardRouter", bridge: Any, request_id: Any, op: str
+    ) -> None:
+        self.router = router
+        self.bridge = bridge
+        self.request_id = request_id
+        self.stamp_shard = op == SWEEP_OP
+        self.lock = threading.Lock()
+        self.aborted = False
+        self.seq = 0
+        self.errors = 0
+        self.tiers: dict[str, int] = {}
+        self.results: list[Any] = []
+        #: Fold-mode partial records in arrival order: (worker_id, order, record).
+        self.partials: list[tuple[Any, int, dict[str, Any]]] = []
+        self.completed: set[str] = set()
+        self.repartitioned = 0
+        self.shard_stats: dict[Any, dict[str, int]] = {}
+
+    def _shard(self, worker_id: Any) -> dict[str, int]:
+        stats = self.shard_stats.get(worker_id)
+        if stats is None:
+            stats = self.shard_stats[worker_id] = {
+                "specs": 0,
+                "completed": 0,
+                "failed": 0,
+                "repartitioned": 0,
+            }
+        return stats
+
+    def assign(self, worker_id: Any, count: int) -> None:
+        with self.lock:
+            self._shard(worker_id)["specs"] += count
+
+    def unfinished(self, pairs: list[tuple[Any, str]]) -> list[tuple[Any, str]]:
+        """The subset of ``pairs`` no shard has answered yet."""
+        with self.lock:
+            return [pair for pair in pairs if pair[1] not in self.completed]
+
+    def on_completion(self, worker_id: Any, record: dict[str, Any]) -> None:
+        """Re-sequence and forward one worker completion record."""
+        from ..api.result import SolveResult
+
+        with self.lock:
+            key = record.get("key") or {}
+            spec_hash = key.get("spec_hash")
+            if spec_hash in self.completed:
+                return  # a failover raced a late delivery: keep the first
+            if isinstance(spec_hash, str):
+                self.completed.add(spec_hash)
+            record = dict(record)
+            record["seq"] = self.seq
+            self.seq += 1
+            if self.stamp_shard:
+                record["shard"] = worker_id
+            record.pop("id", None)
+            if self.request_id is not None:
+                record["id"] = self.request_id
+            tier = record.get("served_by", "?")
+            self.tiers[tier] = self.tiers.get(tier, 0) + 1
+            stats = self._shard(worker_id)
+            stats["completed"] += 1
+            failed = not (record.get("ok") and isinstance(record.get("result"), dict))
+            if failed:
+                self.errors += 1
+                stats["failed"] += 1
+            else:
+                self.results.append(SolveResult.from_dict(record["result"]))
+            self.bridge.put(record)
+        self.router._record_sweep(worker_id, completed=1, failed=1 if failed else 0)
+
+    def on_partial(
+        self, worker_id: Any, record: dict[str, Any], partition_hashes: list[str]
+    ) -> None:
+        """Absorb one shard's fold-mode aggregate (covers its whole partition)."""
+        records = int(record.get("records", 0))
+        errors = int(record.get("errors", 0))
+        with self.lock:
+            self.partials.append((worker_id, len(self.partials), record))
+            self.completed.update(partition_hashes)
+            self.seq += records
+            self.errors += errors
+            for tier, count in (record.get("sources") or {}).items():
+                self.tiers[tier] = self.tiers.get(tier, 0) + int(count)
+            stats = self._shard(worker_id)
+            stats["completed"] += records
+            stats["failed"] += errors
+        self.router._record_sweep(worker_id, completed=records, failed=errors)
+
+    def on_repartition(self, failed_worker: Any, count: int) -> None:
+        with self.lock:
+            self.repartitioned += count
+            self._shard(failed_worker)["repartitioned"] += count
+        self.router._record_sweep(failed_worker, repartitioned=count)
+
+    def partition_table(self) -> list[dict[str, Any]]:
+        with self.lock:
+            return [
+                {"worker": worker_id, **stats}
+                for worker_id, stats in sorted(
+                    self.shard_stats.items(), key=lambda item: str(item[0])
+                )
+            ]
+
+
+class AsyncShardRouter(AsyncLineServer):
+    """The sharded serving front: routes, coalesces, fails over, partitions.
+
+    Request verbs (``solve``, ``health``, ``metrics``, ``hello``,
+    ``cluster-status``, ``shutdown``) are answered on the request thread
+    pool by :meth:`_dispatch`; a ``solve`` goes through router-side
+    coalescing and ring failover to its home shard.
+
+    The ``sweep`` and ``subscribe`` verbs share one partitioned path:
+    instead of one routed solve per spec, the router partitions the
+    deduplicated suite across shards by the ``(backend, spec_hash)``
+    routing key and ships each partition as **one** ``sweep`` request,
+    which the worker runs through its local batch plan (LRU, store,
+    kernel batch, pool -- every tier active) while streaming records
+    back over a dedicated connection per shard.  The router interleaves
+    the shard streams in completion order; when a shard dies
+    mid-partition its unfinished specs are re-partitioned along each
+    spec's :meth:`HashRing.preference` failover order (next candidate
+    per retry round, with backoff, bounded by ``route_timeout`` from the
+    first failure and reset on progress), so an accepted sweep finishes
+    if any worker survives.  A ``subscribe`` keeps its own ack and
+    summary (``fanout`` is the partition count; the summary digest is
+    the local run's).  In ``fold`` mode the workers ship merged
+    per-``(kind, backend)`` aggregates and per-result blob hashes
+    instead of envelopes; the router merges the partials (deterministic
+    worker order) and forwards one table record.
 
     Args:
         supervisor: the worker fleet (already started).
@@ -280,8 +419,8 @@ class ShardRouter(GracefulLineServer):
         worker_timeout: per-round-trip socket timeout against a worker.
         route_timeout: total time a request may spend cycling the ring
             (including waiting out worker respawns) before ``ok: false``.
-        worker_binary: offer the binary-frame upgrade on router->worker
-            connections (on by default; old workers degrade to JSON).
+        executor_workers / subscription_queue_max / connection_sndbuf:
+            as for :class:`~repro.service.aio.AsyncLineServer`.
     """
 
     def __init__(
@@ -292,17 +431,18 @@ class ShardRouter(GracefulLineServer):
         backend: str = "auto",
         worker_timeout: float = 120.0,
         route_timeout: float = 60.0,
-        worker_binary: bool = True,
+        executor_workers: Optional[int] = None,
+        subscription_queue_max: Optional[int] = None,
+        connection_sndbuf: Optional[int] = None,
     ) -> None:
         self.supervisor = supervisor
         self.backend = backend
         self.worker_timeout = worker_timeout
         self.route_timeout = route_timeout
-        self.worker_binary = worker_binary
         self.ring = HashRing([handle.worker_id for handle in supervisor.handles])
         self.metrics = ServiceMetrics()
         self._pools = {
-            handle.worker_id: _WorkerPool(handle, worker_timeout, binary=worker_binary)
+            handle.worker_id: _WorkerPool(handle, worker_timeout)
             for handle in supervisor.handles
         }
         self._shards = {handle.worker_id: _ShardCounters() for handle in supervisor.handles}
@@ -312,22 +452,19 @@ class ShardRouter(GracefulLineServer):
         self._coalesced = 0
         self._reroutes = 0
         self._started = time.time()
-        super().__init__(host=host, port=port)
+        super().__init__(
+            host=host,
+            port=port,
+            executor_workers=executor_workers,
+            subscription_queue_max=subscription_queue_max,
+            connection_sndbuf=connection_sndbuf,
+        )
 
-    # -- the wire --------------------------------------------------------------
-    def answer_line(self, line: str) -> dict[str, Any]:
-        data, decode_error = decode_request(line)
-        if decode_error is not None:
-            return decode_error
-        op, data, request_id = normalize_request(data)
-        # JSON clients must never see a Raw span a binary worker
-        # answered with; binary clients (answer_frame) forward it as-is.
-        return materialize_raw(self._dispatch(op, data, request_id))
-
-    def answer_frame(self, data: Any) -> dict[str, Any]:
+    # -- request verbs ---------------------------------------------------------
+    def answer_request(self, data: Any) -> dict[str, Any]:
         if not isinstance(data, dict):
             return error_response(
-                "?", ReproError(f"request must be an object, got {type(data).__name__}")
+                "?", ReproError(f"request must be a JSON object, got {type(data).__name__}")
             )
         op, data, request_id = normalize_request(data)
         return self._dispatch(op, data, request_id)
@@ -346,12 +483,6 @@ class ShardRouter(GracefulLineServer):
                 return {"ok": True, "op": CLUSTER_STATUS_OP, "cluster": self.cluster_status()}
             if op == SHUTDOWN_OP:
                 return {"ok": True, "op": SHUTDOWN_OP, "stopping": True}
-            if op in (SUBSCRIBE_OP, SWEEP_OP):
-                raise ReproError(
-                    f"{op} streams results over one connection and needs the "
-                    "asyncio cluster front; start it with `repro serve "
-                    "--workers N --async`"
-                )
             raise ReproError(
                 f"unknown op {op!r}; expected solve, health, metrics, {HELLO_OP}, "
                 f"{CLUSTER_STATUS_OP} or {SHUTDOWN_OP}"
@@ -629,6 +760,7 @@ class ShardRouter(GracefulLineServer):
         if self.supervisor.arena is not None:
             snapshot["arena"] = self.supervisor.arena.stats()
         snapshot["shards"] = self._shard_rows(probe="metrics")
+        snapshot["subscriptions"] = self.subscription_stats()
         return snapshot
 
     def cluster_status(self) -> dict[str, Any]:
@@ -642,379 +774,42 @@ class ShardRouter(GracefulLineServer):
         )
         return status
 
-    # -- lifecycle -------------------------------------------------------------
-    def _drain(self, timeout: Optional[float]) -> None:
-        for pool in self._pools.values():
-            pool.close()
-        self.supervisor.stop(drain=True, timeout=timeout if timeout is not None else 30.0)
-
-
-class _SweepState:
-    """Shared accounting of one distributed sweep across shard threads.
-
-    Every shard stream funnels through here: records get their global
-    ``seq`` and the client's ``id`` stamped under one lock (so the wire
-    order matches the sequence numbers), a completed-spec-hash set
-    guards against duplicate records when a failover races a late
-    delivery, and per-shard counters accumulate for the summary's
-    partition table.  Emission happens under the lock too -- a slow
-    client backpressures every shard reader, which is exactly the
-    bounded-memory contract of the subscription bridge.
-    """
-
-    def __init__(self, router: "AsyncShardRouter", bridge: Any, request_id: Any) -> None:
-        self.router = router
-        self.bridge = bridge
-        self.request_id = request_id
-        self.lock = threading.Lock()
-        self.aborted = False
-        self.seq = 0
-        self.errors = 0
-        self.tiers: dict[str, int] = {}
-        self.results: list[Any] = []
-        #: Fold-mode partial records in arrival order: (worker_id, order, record).
-        self.partials: list[tuple[Any, int, dict[str, Any]]] = []
-        self.completed: set[str] = set()
-        self.repartitioned = 0
-        self.shard_stats: dict[Any, dict[str, int]] = {}
-
-    def _shard(self, worker_id: Any) -> dict[str, int]:
-        stats = self.shard_stats.get(worker_id)
-        if stats is None:
-            stats = self.shard_stats[worker_id] = {
-                "specs": 0,
-                "completed": 0,
-                "failed": 0,
-                "repartitioned": 0,
-            }
-        return stats
-
-    def assign(self, worker_id: Any, count: int) -> None:
-        with self.lock:
-            self._shard(worker_id)["specs"] += count
-
-    def unfinished(self, pairs: list[tuple[Any, str]]) -> list[tuple[Any, str]]:
-        """The subset of ``pairs`` no shard has answered yet."""
-        with self.lock:
-            return [pair for pair in pairs if pair[1] not in self.completed]
-
-    def on_completion(self, worker_id: Any, record: dict[str, Any]) -> None:
-        """Re-sequence and forward one worker completion record."""
-        from ..api.result import SolveResult
-
-        with self.lock:
-            key = record.get("key") or {}
-            spec_hash = key.get("spec_hash")
-            if spec_hash in self.completed:
-                return  # a failover raced a late delivery: keep the first
-            if isinstance(spec_hash, str):
-                self.completed.add(spec_hash)
-            record = dict(record)
-            record["seq"] = self.seq
-            self.seq += 1
-            record["shard"] = worker_id
-            record.pop("id", None)
-            if self.request_id is not None:
-                record["id"] = self.request_id
-            tier = record.get("served_by", "?")
-            self.tiers[tier] = self.tiers.get(tier, 0) + 1
-            stats = self._shard(worker_id)
-            stats["completed"] += 1
-            failed = not (record.get("ok") and isinstance(record.get("result"), dict))
-            if failed:
-                self.errors += 1
-                stats["failed"] += 1
-            else:
-                self.results.append(SolveResult.from_dict(record["result"]))
-            self.bridge.put(record)
-        self.router.core._record_sweep(
-            worker_id, completed=1, failed=1 if failed else 0
-        )
-
-    def on_partial(
-        self, worker_id: Any, record: dict[str, Any], partition_hashes: list[str]
-    ) -> None:
-        """Absorb one shard's fold-mode aggregate (covers its whole partition)."""
-        records = int(record.get("records", 0))
-        errors = int(record.get("errors", 0))
-        with self.lock:
-            self.partials.append((worker_id, len(self.partials), record))
-            self.completed.update(partition_hashes)
-            self.seq += records
-            self.errors += errors
-            for tier, count in (record.get("sources") or {}).items():
-                self.tiers[tier] = self.tiers.get(tier, 0) + int(count)
-            stats = self._shard(worker_id)
-            stats["completed"] += records
-            stats["failed"] += errors
-        self.router.core._record_sweep(worker_id, completed=records, failed=errors)
-
-    def on_repartition(self, failed_worker: Any, count: int) -> None:
-        with self.lock:
-            self.repartitioned += count
-            self._shard(failed_worker)["repartitioned"] += count
-        self.router.core._record_sweep(failed_worker, repartitioned=count)
-
-    def partition_table(self) -> list[dict[str, Any]]:
-        with self.lock:
-            return [
-                {"worker": worker_id, **stats}
-                for worker_id, stats in sorted(
-                    self.shard_stats.items(), key=lambda item: str(item[0])
-                )
-            ]
-
-
-class AsyncShardRouter(AsyncLineServer):
-    """The asyncio sharded front: the router's verbs, plus ``subscribe``.
-
-    Composes an *unserved* :class:`ShardRouter` core -- the core binds
-    an ephemeral loopback socket it never accepts on, and everything
-    that matters (consistent-hash routing, router-side coalescing, ring
-    failover, worker pools, shard metrics, the drain-and-merge stop)
-    is reused wholesale through :meth:`ShardRouter._dispatch`.  This
-    front only replaces the transport: an event loop instead of a
-    thread per connection, so the router's connection ceiling scales
-    exactly like the single daemon's (:mod:`repro.service.aio`).
-
-    A ``subscribe`` suite fans out over the fleet: the unique specs are
-    submitted to a bounded per-subscription thread pool, each solved
-    through the core's routed (coalesced, failed-over) path, and the
-    completions stream back in completion order with the same record
-    shapes as the single-server verb -- summary digest included, so a
-    sweep through the cluster fingerprints identically to a local run.
-
-    A ``sweep`` suite goes further: instead of one routed solve per
-    spec, the router partitions the deduplicated suite across shards by
-    the ``(backend, spec_hash)`` routing key and ships each partition as
-    **one** request, which the worker runs through its local batch plan
-    (LRU, store, kernel batch, pool -- every tier active) while
-    streaming records back over a dedicated connection per shard.  The
-    router interleaves the shard streams in completion order; when a
-    shard dies mid-partition its unfinished specs are re-partitioned
-    along each spec's :meth:`HashRing.preference` failover order (next
-    candidate per retry round, with backoff, bounded by
-    ``route_timeout`` from the first failure and reset on progress), so
-    an accepted sweep finishes if any worker survives.  In ``fold``
-    mode the workers ship merged per-``(kind, backend)`` aggregates and
-    per-result blob hashes instead of envelopes; the router merges the
-    partials (deterministic worker order) and forwards one table record.
-
-    Args:
-        supervisor: the worker fleet (already started).
-        host / port: bind address of the async front itself.
-        sweep_fanout: per-subscription cap on concurrent routed solves.
-        Remaining arguments match :class:`ShardRouter` /
-        :class:`~repro.service.aio.AsyncLineServer`.
-    """
-
-    def __init__(
-        self,
-        supervisor: ClusterSupervisor,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backend: str = "auto",
-        worker_timeout: float = 120.0,
-        route_timeout: float = 60.0,
-        worker_binary: bool = True,
-        sweep_fanout: int = 8,
-        executor_workers: Optional[int] = None,
-        subscription_queue_max: Optional[int] = None,
-        connection_sndbuf: Optional[int] = None,
-    ) -> None:
-        self.core = ShardRouter(
-            supervisor,
-            host="127.0.0.1",
-            port=0,
-            backend=backend,
-            worker_timeout=worker_timeout,
-            route_timeout=route_timeout,
-            worker_binary=worker_binary,
-        )
-        self.sweep_fanout = max(1, int(sweep_fanout))
-        super().__init__(
-            host=host,
-            port=port,
-            executor_workers=executor_workers,
-            subscription_queue_max=subscription_queue_max,
-            connection_sndbuf=connection_sndbuf,
-        )
-
-    @property
-    def supervisor(self) -> ClusterSupervisor:
-        return self.core.supervisor
-
-    @property
-    def backend(self) -> str:
-        return self.core.backend
-
-    def answer_request(self, data: Any) -> dict[str, Any]:
-        if not isinstance(data, dict):
-            return error_response(
-                "?", ReproError(f"request must be a JSON object, got {type(data).__name__}")
-            )
-        op, data, request_id = normalize_request(data)
-        if op in (SUBSCRIBE_OP, SWEEP_OP):  # only reachable through handle_request-less path
-            return error_response(
-                op,
-                ReproError(f"{op} must be served by the streaming transport"),
-                request_id,
-            )
-        response = self.core._dispatch(op, data, request_id)
-        if response.get("op") == "metrics" and response.get("ok"):
-            metrics = response.get("metrics")
-            if isinstance(metrics, dict):
-                # The core's transport counters are all zeros (its socket
-                # never accepts); report the async front's wire instead.
-                metrics["transport"] = self.transport.snapshot()
-                metrics["subscriptions"] = self.subscription_stats()
-        return response
-
-    # -- the subscribe + sweep verbs -------------------------------------------
+    # -- the sweep + subscribe verbs -------------------------------------------
     def subscribe_open(self, data: dict[str, Any], request_id: Any) -> tuple[Any, dict]:
         if data.get("op") == SWEEP_OP:
-            return self._sweep_open(data, request_id)
-        specs, backend = parse_subscribe(data)
-        effective = backend if backend is not None else self.core.backend
-        seen: set[str] = set()
-        unique: list[Any] = []
-        for spec in specs:
-            key = shard_key(effective, spec.canonical_hash())
-            if key not in seen:
-                seen.add(key)
-                unique.append(spec)
-        ack = subscribe_ack(
-            request_id,
-            len(specs),
-            len(unique),
-            effective,
-            fanout=min(self.sweep_fanout, len(unique)),
-        )
-        return ("subscribe", unique, effective, request_id, len(specs)), ack
-
-    def _sweep_open(self, data: dict[str, Any], request_id: Any) -> tuple[Any, dict]:
-        specs, backend, mode = parse_sweep(data)
-        if not self.core.supervisor.async_workers:
-            # Threaded workers are request/response only -- they cannot
-            # stream a partition back.  Refuse up front instead of
-            # failing over forever against a fleet that will never answer.
-            raise ClusterError(
-                "distributed sweep needs asyncio workers; start the fleet "
-                "with `repro serve --workers N --async`"
-            )
-        effective = backend if backend is not None else self.core.backend
-        ring = self.core.ring
+            op = SWEEP_OP
+            specs, backend, mode = parse_sweep(data)
+        else:
+            op = SUBSCRIBE_OP
+            specs, backend = parse_subscribe(data)
+            mode = "stream"
+        effective = backend if backend is not None else self.backend
+        ring = self.ring
         partitions, total, unique = partition_specs(
             specs,
             effective,
             lambda spec_hash: ring.lookup(shard_key(effective, spec_hash)),
         )
-        partition_rows = [
-            {"worker": partition.node, "specs": len(partition.specs)}
-            for partition in partitions
-        ]
         for partition in partitions:
-            self.core._record_sweep(partition.node, swept=len(partition.specs))
-        ack = sweep_ack(
-            request_id,
-            total,
-            unique,
-            effective,
-            mode,
-            fanout=len(partitions),
-            partitions=partition_rows,
-        )
-        return ("sweep", partitions, effective, request_id, total, unique, mode), ack
-
-    def _sweep_one(self, spec: Any, effective: str) -> dict[str, Any]:
-        """One routed solve of a subscription; never raises."""
-        try:
-            return self.core._route_solve(
-                {"spec": spec.to_dict(), "backend": effective}, None
-            )
-        except Exception as error:  # noqa: BLE001 - becomes a failed record
-            return error_response("solve", error)
-
-    def subscribe_pump(self, job: Any, bridge: Any) -> None:
-        if job[0] == "sweep":
-            self._sweep_pump(job, bridge)
+            self._record_sweep(partition.node, swept=len(partition.specs))
+        if op == SUBSCRIBE_OP:
+            ack = subscribe_ack(request_id, total, unique, effective, fanout=len(partitions))
         else:
-            self._subscribe_pump(job, bridge)
-
-    def _subscribe_pump(self, job: Any, bridge: Any) -> None:
-        from concurrent.futures import ThreadPoolExecutor, as_completed
-
-        from ..api.result import SolveResult
-        from ..experiments.manifest import fingerprint_digest
-
-        _, unique, effective, request_id, total = job
-        started = time.perf_counter()
-        seq = 0
-        errors = 0
-        sources: dict[str, int] = {}
-        results: list[Any] = []
-        aborted = False
-        with ThreadPoolExecutor(
-            max_workers=min(self.sweep_fanout, len(unique)),
-            thread_name_prefix="repro-sweep",
-        ) as pool:
-            futures = {
-                pool.submit(self._sweep_one, spec, effective): spec for spec in unique
-            }
-            for future in as_completed(futures):
-                if self.stopping:
-                    aborted = True
-                    for pending in futures:
-                        pending.cancel()
-                    bridge.put(
-                        error_response(
-                            SUBSCRIBE_OP,
-                            ClusterError("router is shutting down, subscription aborted"),
-                            request_id,
-                        )
-                    )
-                    break
-                spec = futures[future]
-                response = materialize_raw(future.result())
-                record: dict[str, Any] = {
-                    "ok": bool(response.get("ok")),
-                    "op": COMPLETION_OP,
-                    "seq": seq,
-                    "key": {"backend": effective, "spec_hash": spec.canonical_hash()},
-                    "served_by": response.get("served_by", "cluster"),
-                    "latency_ms": response.get("latency_ms", 0.0),
-                }
-                seq += 1
-                if response.get("ok"):
-                    record["result"] = response["result"]
-                    results.append(SolveResult.from_dict(response["result"]))
-                    source = response.get("served_by", "cluster")
-                    sources[source] = sources.get(source, 0) + 1
-                else:
-                    errors += 1
-                    record["served_by"] = "cluster"
-                    record["error"] = response.get("error", "routed solve failed")
-                    record["error_type"] = response.get("error_type", "ClusterError")
-                    sources["error"] = sources.get("error", 0) + 1
-                if request_id is not None:
-                    record["id"] = request_id
-                bridge.put(record)
-        if aborted:
-            return
-        bridge.put(
-            subscribe_summary(
+            partition_rows = [
+                {"worker": partition.node, "specs": len(partition.specs)}
+                for partition in partitions
+            ]
+            ack = sweep_ack(
                 request_id,
-                records=seq,
-                errors=errors,
-                total=total,
-                unique=len(unique),
-                fingerprint_digest=fingerprint_digest(results),
-                sources=sources,
-                wall_time_ms=(time.perf_counter() - started) * 1e3,
+                total,
+                unique,
+                effective,
+                mode,
+                fanout=len(partitions),
+                partitions=partition_rows,
             )
-        )
+        return (op, partitions, effective, request_id, total, unique, mode), ack
 
-    # -- the distributed sweep -------------------------------------------------
     def _run_shard_sweep(
         self,
         state: _SweepState,
@@ -1032,22 +827,21 @@ class AsyncShardRouter(AsyncLineServer):
         when the stream ends -- empty on success, the unfinished tail on
         a death (reported to the supervisor for a background respawn).
         """
-        core = self.core
-        handle = core.supervisor.handles[worker_id]
+        handle = self.supervisor.handles[worker_id]
         generation = handle.generation
         host, port = handle.host, handle.port
         try:
             if host is None or port is None:
                 raise _WorkerDied(f"worker {worker_id} has no address")
-            conn = socket.create_connection((host, port), timeout=core.worker_timeout)
+            conn = socket.create_connection((host, port), timeout=self.worker_timeout)
         except (OSError, _WorkerDied):
-            core._record_shard_failure(worker_id)
-            core._report_failure(handle, generation)
+            self._record_shard_failure(worker_id)
+            self._report_failure(handle, generation)
             return state.unfinished(pairs)
         partition_hashes = [spec_hash for _, spec_hash in pairs]
         try:
             with conn:
-                conn.settimeout(core.worker_timeout)
+                conn.settimeout(self.worker_timeout)
                 reader = conn.makefile("rb")
                 request = {
                     "op": SWEEP_OP,
@@ -1093,14 +887,14 @@ class AsyncShardRouter(AsyncLineServer):
                             f"{record.get('error', 'unknown error')}"
                         )
         except (OSError, ValueError, _WorkerDied):
-            core._record_shard_failure(worker_id)
-            core._report_failure(handle, generation)
+            self._record_shard_failure(worker_id)
+            self._report_failure(handle, generation)
             return state.unfinished(pairs)
-        core._record_shard_ok(worker_id, rerouted=False)
+        self._record_shard_ok(worker_id, rerouted=False)
         return []
 
-    def _sweep_pump(self, job: Any, bridge: Any) -> None:
-        """Drive one distributed sweep: fan out partitions, merge, fail over.
+    def subscribe_pump(self, job: Any, bridge: Any) -> None:
+        """Drive one partitioned sweep or subscription: fan out, merge, fail over.
 
         Retry rounds are barriers: a spec is only re-assigned after the
         stream that owned it ended, so within a round the in-flight
@@ -1109,7 +903,7 @@ class AsyncShardRouter(AsyncLineServer):
         the ring's deterministic failover order, cycling back to the
         (respawned) home shard on a full lap.  The failover budget is
         ``route_timeout`` from the first failure, reset whenever a round
-        makes progress; exhausting it aborts the sweep with an ``ok:
+        makes progress; exhausting it aborts the stream with an ``ok:
         false`` record, exactly like a routed solve that ran out of
         shards.
         """
@@ -1118,25 +912,26 @@ class AsyncShardRouter(AsyncLineServer):
         from ..analysis.streaming import EnvelopeAggregate
         from ..experiments.manifest import digest_blob_hashes, fingerprint_digest
 
-        _, partitions, effective, request_id, total, unique, mode = job
+        op, partitions, effective, request_id, total, unique, mode = job
         started = time.perf_counter()
-        state = _SweepState(self, bridge, request_id)
+        state = _SweepState(self, bridge, request_id, op)
         assignments: list[tuple[Any, list[tuple[Any, str]]]] = [
             (partition.node, list(zip(partition.specs, partition.hashes)))
             for partition in partitions
         ]
         for worker_id, pairs in assignments:
             state.assign(worker_id, len(pairs))
-        ring = self.core.ring
+        ring = self.ring
         deadline: Optional[float] = None
         round_index = 0
         while assignments:
             if self.stopping:
                 state.aborted = True
+                aborted = "sweep" if op == SWEEP_OP else "subscription"
                 bridge.put(
                     error_response(
-                        SWEEP_OP,
-                        ClusterError("router is shutting down, sweep aborted"),
+                        op,
+                        ClusterError(f"router is shutting down, {aborted} aborted"),
                         request_id,
                     )
                 )
@@ -1165,15 +960,15 @@ class AsyncShardRouter(AsyncLineServer):
             if state.seq > progress_before:
                 deadline = None  # the fleet is advancing: reset the budget
             if deadline is None:
-                deadline = now + self.core.route_timeout
+                deadline = now + self.route_timeout
             elif now > deadline:
                 state.aborted = True
                 stranded = sum(len(pairs) for _, pairs in leftovers)
                 bridge.put(
                     error_response(
-                        SWEEP_OP,
+                        op,
                         ClusterError(
-                            f"sweep made no progress within {self.core.route_timeout}s "
+                            f"{op} made no progress within {self.route_timeout}s "
                             f"of the last shard failure; {stranded} spec(s) unfinished"
                         ),
                         request_id,
@@ -1191,10 +986,24 @@ class AsyncShardRouter(AsyncLineServer):
             assignments = sorted(regrouped.items(), key=lambda item: str(item[0]))
             for worker_id, pairs in assignments:
                 state.assign(worker_id, len(pairs))
-                self.core._record_sweep(worker_id, swept=len(pairs))
+                self._record_sweep(worker_id, swept=len(pairs))
             # Ride out a single-worker respawn exactly like _forward does.
             time.sleep(min(0.1 * round_index, 0.5))
         wall_time_ms = (time.perf_counter() - started) * 1e3
+        if op == SUBSCRIBE_OP:
+            bridge.put(
+                subscribe_summary(
+                    request_id,
+                    records=state.seq,
+                    errors=state.errors,
+                    total=total,
+                    unique=unique,
+                    fingerprint_digest=fingerprint_digest(state.results),
+                    sources=state.tiers,
+                    wall_time_ms=wall_time_ms,
+                )
+            )
+            return
         if mode == "fold":
             merged = EnvelopeAggregate()
             blob_hashes: set[str] = set()
@@ -1241,28 +1050,22 @@ class AsyncShardRouter(AsyncLineServer):
 
     # -- lifecycle -------------------------------------------------------------
     def _drain(self, timeout: Optional[float]) -> None:
-        # The core was never served: its stop() skips the serve loop and
-        # goes straight to closing the pools and draining the fleet.
-        self.core.stop(drain_timeout=timeout)
+        for pool in self._pools.values():
+            pool.close()
+        self.supervisor.stop(drain=True, timeout=timeout if timeout is not None else 30.0)
 
 
-def boot_router(
-    supervisor: ClusterSupervisor, use_async: bool = False, **router_kwargs: Any
-) -> "ShardRouter | AsyncShardRouter":
+def boot_router(supervisor: ClusterSupervisor, **router_kwargs: Any) -> AsyncShardRouter:
     """Start a fleet and build its router, leak-proof on failure.
 
     The workers are detached processes; any failure between spawning
     them and having a router that can stop them would otherwise leave
     the fleet running unsupervised.  Every caller (CLI, benchmark,
     smoke) boots through here so that invariant lives in one place.
-    ``use_async`` boots the asyncio front (:class:`AsyncShardRouter`)
-    instead of the thread-per-connection router.
     """
     try:
         supervisor.start()
-        if use_async:
-            return AsyncShardRouter(supervisor, **router_kwargs)
-        return ShardRouter(supervisor, **router_kwargs)
+        return AsyncShardRouter(supervisor, **router_kwargs)
     except BaseException:
         supervisor.stop(drain=False)
         raise

@@ -3,9 +3,9 @@
 Each shard worker is a **full** ``repro serve`` daemon in its own
 process: its own :class:`~repro.service.service.SolverService`, its own
 kernel state, its own store directory.  Nothing cluster-specific runs
-inside a worker -- the router speaks the ordinary JSON-Lines wire
-format to it, which is what keeps the fingerprint contract trivially
-intact: a worker answers exactly what a standalone daemon would.
+inside a worker -- the router speaks the ordinary wire formats to it,
+which is what keeps the fingerprint contract trivially intact: a
+worker answers exactly what a standalone daemon would.
 
 The :class:`ClusterSupervisor` owns the fleet lifecycle:
 
@@ -109,14 +109,10 @@ class ClusterSupervisor:
         queue_limit: int = 128,
         host: str = "127.0.0.1",
         spawn_timeout: float = 60.0,
-        async_workers: bool = False,
     ) -> None:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
         self.backend = backend
-        #: Boot every worker on the asyncio transport (``serve --async``);
-        #: the wire is byte-compatible, so the router never notices.
-        self.async_workers = async_workers
         self.primary_store = Path(store) if store is not None else None
         self.max_inflight = max_inflight
         self.queue_limit = queue_limit
@@ -199,8 +195,6 @@ class ClusterSupervisor:
             "--port-file",
             str(port_file),
         ]
-        if self.async_workers:
-            command.append("--async")
         if handle.store_dir is not None:
             command += ["--store", str(handle.store_dir)]
         else:

@@ -11,11 +11,10 @@ cheap to break silently:
   threads must only be written under the lock that readers take (the
   PR-4 kernel compiled-chunk cache shipped without this and returned
   corrupted trajectories under concurrency);
-* **wire schema** -- four transports (threaded daemon, asyncio daemon,
-  threaded router, async cluster front) speak one verb table and one
-  response shape per verb, and the binary tag codec must stay
-  symmetric (the PR-3 ``inf``-in-JSON bug was this class: one encoder
-  silently emitting non-RFC output).
+* **wire schema** -- the protocol module, the daemon and the cluster
+  front speak one verb table and one response shape per verb, and the
+  binary tag codec must stay symmetric (the PR-3 ``inf``-in-JSON bug
+  was this class: one encoder silently emitting non-RFC output).
 
 This package encodes those contracts once as static rules and checks
 every change against them mechanically:

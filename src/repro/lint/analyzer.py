@@ -62,7 +62,6 @@ class LintConfig:
     #: key set of each verb across all of them.
     wire_modules: tuple[str, ...] = (
         "repro.service.protocol",
-        "repro.service.daemon",
         "repro.service.aio",
         "repro.service.client",
         "repro.cluster.router",

@@ -1,10 +1,10 @@
-"""R003 -- wire-schema drift between the serving transports.
+"""R003 -- wire-schema drift between the serving fronts.
 
-Four transports answer the same verbs: the threaded daemon, the
-asyncio daemon, the threaded shard router and the async cluster front
-(plus the client consuming the stream records).  The schema they must
-agree on is extracted mechanically -- nothing here is a hardcoded list
-of today's verbs:
+Three places answer the same verbs: the protocol module itself (which
+``repro solve --stdin-jsonl`` drives in-process), the asyncio daemon
+and the cluster front -- plus the client consuming the stream records.
+The schema they must agree on is extracted mechanically -- nothing
+here is a hardcoded list of today's verbs:
 
 * the **verb table**: every module-level ``*_OP = "literal"`` constant
   in the protocol module (plus ``HELLO_OP`` from the frames module and
@@ -19,12 +19,13 @@ of today's verbs:
 * the **binary tag codec**: the tag bytes ``_encode_into`` emits
   versus the tags ``_decode_from`` and ``_skip_from`` accept.
 
-Findings: a dispatcher handling a verb that is not declared in the
-protocol module (verbs must be declared once, next to the wire
-documentation), a declared verb nothing handles or consumes anywhere
-(dead schema), two transports answering the same verb with different
-required response keys, and encode/decode/skip tag asymmetry in the
-frame codec.
+Findings: a configured wire module or dispatcher that does not exist
+(a stale config would otherwise check nothing and stay silent), a
+dispatcher handling a verb that is not declared in the protocol module
+(verbs must be declared once, next to the wire documentation), a
+declared verb nothing handles or consumes anywhere (dead schema), two
+transports answering the same verb with different required response
+keys, and encode/decode/skip tag asymmetry in the frame codec.
 """
 
 from __future__ import annotations
@@ -238,6 +239,7 @@ def _tag_bytes_accepted(function: ast.AST, subject: str = "tag") -> set[int]:
 class WireSchemaRule(Rule):
     id = "R003"
     title = "wire-schema drift between transports"
+    stale_hint = "point LintConfig.wire_modules / dispatchers at code that exists"
     hint = "declare the verb once in service/protocol.py and reuse the shared builder"
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -265,15 +267,29 @@ class WireSchemaRule(Rule):
             foreign_constants.update(_collect_op_constants(module))
         resolver = _VerbResolver({**foreign_constants, **constants})
 
+        # -- stale config: every configured module and dispatcher exists ------
+        for module_name in config.wire_modules:
+            if project.get(module_name) is None:
+                yield self.finding(
+                    protocol,
+                    protocol.tree,
+                    f"configured wire module {module_name!r} does not exist",
+                    hint=self.stale_hint,
+                )
+
         # The literal core verbs of the protocol's own dispatcher are
         # declarations too (the protocol module IS the declaration site).
         handled: dict[str, dict[str, ast.AST]] = {}
         for module_name, function_name in config.dispatchers:
             module = project.get(module_name)
-            if module is None:
-                continue
-            function = _functions(module).get(function_name)
+            function = _functions(module).get(function_name) if module is not None else None
             if function is None:
+                yield self.finding(
+                    protocol,
+                    protocol.tree,
+                    f"configured dispatcher {module_name}.{function_name}() does not exist",
+                    hint=self.stale_hint,
+                )
                 continue
             handled[module_name] = _compared_verbs(function, resolver)
         protocol_handled = handled.get(config.protocol_module, {})

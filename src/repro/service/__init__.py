@@ -11,19 +11,18 @@ thread-safe :class:`~repro.api.batch.BatchRunner`:
   hit-rate / latency-percentile accounting;
 * :mod:`repro.service.protocol` -- the JSON-Lines wire format (one
   request per line, one response per line; ``solve`` / ``health`` /
-  ``metrics`` verbs) shared by every transport;
-* :mod:`repro.service.daemon`   -- :class:`ReproServer`: the ``repro
-  serve`` TCP daemon, one thread per connection, stdlib only;
+  ``metrics`` verbs plus the streamed ``subscribe`` / ``sweep`` record
+  shapes) shared by the daemon, the cluster front and ``repro solve
+  --stdin-jsonl``;
 * :mod:`repro.service.frames`   -- the negotiated binary wire frames
   (length-prefixed, hand-rolled tag codec) that skip JSON on the warm
   path;
-* :mod:`repro.service.client`   -- :class:`ServiceClient`: persistent
-  connections with transparent binary negotiation and streamed
-  subscriptions;
 * :mod:`repro.service.aio`      -- :class:`AsyncReproServer`: the
-  ``repro serve --async`` asyncio transport -- same verbs byte-for-byte,
-  an order of magnitude more concurrent connections, plus the
-  ``subscribe`` streamed-sweep verb.
+  ``repro serve`` TCP daemon on one asyncio event loop, both wire
+  formats, plus the ``subscribe`` and ``sweep`` streamed-sweep verbs;
+* :mod:`repro.service.client`   -- :func:`request_lines` (one-shot JSON
+  lines) and :class:`ServiceClient`: persistent connections with
+  transparent binary negotiation and streamed subscriptions.
 
 Quickstart::
 
@@ -36,9 +35,8 @@ Quickstart::
 """
 
 from ..errors import ServiceProtocolError
-from .aio import AsyncLineServer, AsyncReproServer
-from .client import ServiceClient, SubscribeStream
-from .daemon import ReproServer, TransportMetrics, hot_solve_key, request_lines
+from .aio import AsyncLineServer, AsyncReproServer, TransportMetrics, hot_solve_key
+from .client import ServiceClient, SubscribeStream, request_lines
 from .frames import FORMAT_BINARY, FORMAT_JSON, FrameError, decode_payload, encode_frame
 from .metrics import ServiceMetrics
 from .protocol import (
@@ -58,7 +56,6 @@ __all__ = [
     "FORMAT_BINARY",
     "FORMAT_JSON",
     "FrameError",
-    "ReproServer",
     "SUBSCRIBE_OP",
     "SUMMARY_OP",
     "ServedResult",

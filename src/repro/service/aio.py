@@ -1,26 +1,27 @@
-"""``repro serve --async`` -- the asyncio serving transport.
+"""``repro serve`` -- the asyncio serving transport.
 
 One event loop per process handles every connection; solver work still
 runs on threads (the backends are blocking, CPU-bound code), but a
-connection no longer *costs* a thread -- idle connections are just
-loop-registered sockets, which is what lifts the concurrent-connection
-ceiling of the thread-per-connection daemon by an order of magnitude.
+connection does not *cost* a thread -- idle connections are just
+loop-registered sockets.
 
-:class:`AsyncLineServer` is the transport skeleton (the asyncio
-counterpart of :class:`~repro.service.daemon.GracefulLineServer`):
+:class:`AsyncLineServer` is the transport skeleton, shared by the
+solver daemon (:class:`AsyncReproServer`) and the cluster front
+(:class:`~repro.cluster.router.AsyncShardRouter`):
 
-* both wire formats of the serving tier -- the JSON-Lines verbs
-  byte-for-byte compatible with the threaded daemon, and the binary
-  frames behind the same ``hello`` negotiation;
-* per-connection requests answered strictly in order (identical to the
-  threaded daemon; concurrency comes from concurrent connections),
-  dispatched to a bounded thread pool so the loop never blocks;
+* both wire formats of the serving tier -- the JSON-Lines verbs of
+  :mod:`repro.service.protocol`, and the binary frames behind the
+  ``hello`` negotiation;
+* per-connection requests answered strictly in order (concurrency
+  comes from concurrent connections), dispatched to a bounded thread
+  pool so the loop never blocks;
 * backpressure-aware writes: every response goes through
   ``writer.drain()``, so a slow reader throttles only its own
   connection's stream, never the loop and never the solver;
-* a graceful, idempotent, thread-safe :meth:`stop` mirroring the
-  threaded server's: stop accepting, finish in-flight requests, wind
-  down subscriptions, drain the service, audit for leaked tasks.
+* a graceful, idempotent, thread-safe :meth:`stop`: stop accepting,
+  finish in-flight requests, answer lines read after the stop began
+  with a clean ``ok: false`` shutting-down refusal, wind down
+  subscriptions, drain the service, audit for leaked tasks.
 
 On top of it, the ``subscribe`` verb streams a whole sweep over one
 connection: the spec suite is planned once, executed through the
@@ -49,16 +50,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
-from ..errors import ReproError, ServiceUnavailableError
-from .daemon import (
-    TransportMetrics,
-    _refusal,
-    _shutting_down_response,
-    hot_solve_key,
-)
+from ..errors import ServiceUnavailableError
 from .frames import (
     FORMAT_BINARY,
     FORMAT_JSON,
+    FORMATS,
     HEADER_SIZE,
     HELLO_OP,
     MAX_FRAME_BYTES,
@@ -90,11 +86,89 @@ from .protocol import (
 )
 from .service import SolverService
 
-__all__ = ["AsyncLineServer", "AsyncReproServer"]
+__all__ = ["AsyncLineServer", "AsyncReproServer", "TransportMetrics", "hot_solve_key"]
 
 #: Queue sentinel: the producer thread finished (summary already queued,
 #: or the pump died after queueing its error record).
 _DONE = object()
+
+
+class TransportMetrics:
+    """Per-wire-format transport counters of one server.
+
+    A connection is counted under every format it actually spoke (an
+    upgraded connection starts as ``json`` for its hello and continues
+    as ``binary``); requests and bytes are counted under the format
+    that carried them.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._formats = {
+            fmt: {"connections": 0, "requests": 0, "bytes_in": 0, "bytes_out": 0}
+            for fmt in FORMATS
+        }
+
+    def record_connection(self, fmt: str) -> None:
+        with self._lock:
+            self._formats[fmt]["connections"] += 1
+
+    def record_request(self, fmt: str, bytes_in: int, bytes_out: int) -> None:
+        with self._lock:
+            counters = self._formats[fmt]
+            counters["requests"] += 1
+            counters["bytes_in"] += bytes_in
+            counters["bytes_out"] += bytes_out
+
+    def record_stream(self, fmt: str, bytes_out: int) -> None:
+        """Count bytes of one streamed record (not an individual request).
+
+        A subscription is one request (counted at its ack) followed by
+        many pushed records; counting each record as a request would make
+        the transport totals lie about the wire's request/response ratio.
+        """
+        with self._lock:
+            self._formats[fmt]["bytes_out"] += bytes_out
+
+    def snapshot(self) -> dict[str, Any]:
+        with self._lock:
+            return {fmt: dict(counters) for fmt, counters in self._formats.items()}
+
+
+def hot_solve_key(data: Any) -> Optional[tuple[Optional[str], str]]:
+    """The hot-response-cache key of a solve request (None: not cacheable)."""
+    if not isinstance(data, dict):
+        return None
+    op = data.get("op")
+    spec = data.get("spec")
+    if op is None and "kind" in data:
+        op = "solve"
+        spec = {key: value for key, value in data.items() if key != "id"}
+    if op != "solve" or not isinstance(spec, dict):
+        return None
+    backend = data.get("backend")
+    if backend is not None and not isinstance(backend, str):
+        return None
+    return backend, repr(sorted(spec.items(), key=lambda item: str(item[0])))
+
+
+def _refusal(op: Any, request_id: Any) -> dict[str, Any]:
+    """The clean refusal a request read after a stop began is answered with."""
+    return error_response(
+        str(op if op is not None else "?"),
+        ServiceUnavailableError("server is shutting down, request refused"),
+        request_id,
+    )
+
+
+def _shutting_down_response(line: str) -> dict[str, Any]:
+    """The clean refusal a connection gets for lines read after stop began."""
+    data, _ = decode_request(line)
+    if data is not None:
+        op, _, request_id = normalize_request(data)
+    else:
+        op, request_id = None, None
+    return _refusal(op, request_id)
 
 
 class _SubscriptionBridge:
@@ -183,12 +257,11 @@ class AsyncLineServer:
     before a stop completes).
 
     The listening socket is bound in the constructor -- :attr:`address`
-    is valid immediately, exactly like the threaded server -- and handed
-    to the event loop when serving starts.
+    is valid immediately -- and handed to the event loop when serving
+    starts.
     """
 
-    #: Listen backlog: sized for connection-storm benchmarks, like the
-    #: threaded server's ``request_queue_size``.
+    #: Listen backlog: sized for connection-storm benchmarks.
     BACKLOG = 512
 
     #: Hard bound on records buffered per subscription (see
@@ -255,10 +328,7 @@ class AsyncLineServer:
         Raising refuses the subscription with a single ``ok: false``
         response; no stream starts.
         """
-        raise ReproError(
-            "subscribe streams results over one connection and needs the "
-            "asyncio transport; start the daemon with `repro serve --async`"
-        )
+        raise NotImplementedError
 
     def subscribe_pump(self, job: Any, bridge: _SubscriptionBridge) -> None:
         """Execute one subscription on its producer thread.
@@ -267,7 +337,7 @@ class AsyncLineServer:
         and never raise -- the wrapper converts stray exceptions into a
         terminal error record.
         """
-        raise NotImplementedError  # pragma: no cover - paired with subscribe_open
+        raise NotImplementedError
 
     def _drain(self, timeout: Optional[float]) -> None:
         """Finish outstanding work once the socket stopped accepting."""
@@ -319,7 +389,7 @@ class AsyncLineServer:
         """Stop accepting, finish in-flight work, drain; idempotent + blocking.
 
         Must not be called from inside the event loop thread (use
-        :meth:`stop_async` there, exactly like the threaded server).
+        :meth:`stop_async` there).
         """
         with self._stop_lock:
             first = not self._stop_requested
@@ -581,10 +651,6 @@ class AsyncLineServer:
             return False
         return True
 
-    def decode_frame_payload(self, payload: bytes) -> Any:
-        """Decode one binary request payload (subclasses may keep spans raw)."""
-        return decode_payload(payload)
-
     async def _serve_binary(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -602,7 +668,7 @@ class AsyncLineServer:
                 return
             bytes_in = HEADER_SIZE + len(payload)
             try:
-                data = self.decode_frame_payload(payload)
+                data = decode_payload(payload)
             except FrameError as error:
                 # Well-framed but malformed payload: still in sync.
                 if not await self._send_frame(writer, error_response("?", error), bytes_in):
@@ -732,12 +798,11 @@ class AsyncLineServer:
 
 
 class AsyncReproServer(AsyncLineServer):
-    """The asyncio solver daemon: one event loop, one shared service.
+    """The ``repro serve`` solver daemon: one event loop, one shared service.
 
-    Answers every JSON-Lines verb of the threaded
-    :class:`~repro.service.daemon.ReproServer` byte-for-byte (the golden
-    transcript test pins this), speaks the same negotiated binary
-    frames, and adds the ``subscribe`` streamed-sweep verb.
+    Answers every JSON-Lines verb of :mod:`repro.service.protocol` (a
+    frozen golden transcript pins the bytes), speaks the negotiated
+    binary frames, and streams the ``subscribe`` and ``sweep`` verbs.
 
     Args:
         service: the shared :class:`SolverService` (built from
@@ -750,7 +815,7 @@ class AsyncReproServer(AsyncLineServer):
             service instance is given.
     """
 
-    #: Hot-cache capacity, mirroring the threaded daemon's.
+    #: Hot-cache capacity: results of the most recent unique solve requests.
     HOT_CACHE_CAP = 256
 
     def __init__(
@@ -796,10 +861,9 @@ class AsyncReproServer(AsyncLineServer):
     def answer_fast(self, data: Any, fmt: str) -> Optional[dict[str, Any]]:
         """Hot response cache, in-loop: repeat solves skip the thread hop.
 
-        The threaded daemon replays repeats from its hot cache on the
-        binary path and from the runner LRU on the JSON path; both are
-        ``served_by: "cache"`` on the wire, so answering JSON repeats
-        from the hot cache here changes latency, not semantics.
+        A repeat would otherwise replay from the runner LRU; both are
+        ``served_by: "cache"`` on the wire, so answering it from the hot
+        cache changes latency, not semantics.
         """
         if self._stop_requested or self.service.draining:
             return None

@@ -1,9 +1,9 @@
-"""A small persistent client for the serving wire, JSON or binary.
+"""Small clients for the serving wire, JSON or binary.
 
-:func:`~repro.service.daemon.request_lines` stays the one-shot,
-JSON-only helper; :class:`ServiceClient` is the persistent-connection
-counterpart the CLI, the benchmarks and the smoke scripts use when they
-want the negotiated binary framing:
+:func:`request_lines` is the one-shot, JSON-only helper;
+:class:`ServiceClient` is the persistent-connection counterpart the
+CLI, the benchmarks and the smoke scripts use when they want the
+negotiated binary framing:
 
     with ServiceClient(host, port, binary=True) as client:
         response = client.request({"op": "solve", "spec": {...}})
@@ -19,9 +19,9 @@ that does not decode -- raises :class:`~repro.errors.ServiceProtocolError`
 to match a late response to its request, so a broken client must never
 be reused (and refuses to be: further requests raise immediately).
 
-Against an asyncio server, :meth:`ServiceClient.subscribe` submits a
-whole spec suite on this one connection and iterates the per-spec
-completion records as they stream back, in completion order::
+:meth:`ServiceClient.subscribe` submits a whole spec suite on this one
+connection and iterates the per-spec completion records as they stream
+back, in completion order::
 
     with ServiceClient(host, port) as client:
         stream = client.subscribe(specs)
@@ -48,7 +48,27 @@ from .frames import (
 )
 from .protocol import COMPLETION_OP, SUBSCRIBE_OP, SUMMARY_OP, SWEEP_OP
 
-__all__ = ["ServiceClient", "SubscribeStream"]
+__all__ = ["ServiceClient", "SubscribeStream", "request_lines"]
+
+
+def request_lines(host: str, port: int, lines: list[str], timeout: float = 60.0) -> list[str]:
+    """Tiny client: send request lines on one connection, return responses.
+
+    Used by the tests, the serve smoke and the benchmark -- and a
+    reasonable template for real clients: newline-delimited requests in,
+    exactly one response line back per request, in order.
+    """
+    with socket.create_connection((host, port), timeout=timeout) as connection:
+        with connection.makefile("rwb") as stream:
+            for line in lines:
+                stream.write((line.strip() + "\n").encode("utf-8"))
+            stream.flush()
+            connection.shutdown(socket.SHUT_WR)
+            return [
+                raw.decode("utf-8").rstrip("\n")
+                for raw in stream
+                if raw.strip()
+            ]
 
 
 class ServiceClient:
@@ -179,10 +199,10 @@ class ServiceClient:
 
         ``specs`` may hold spec objects or already-serialised spec
         dicts.  The server's ``ok`` ack is consumed here; a refusal
-        (``ok: false`` -- e.g. a threaded daemon, or an invalid suite)
-        raises :class:`~repro.errors.ReproError` and leaves the
-        connection usable.  Iterate the returned stream to exhaustion
-        before issuing other requests on this client.
+        (``ok: false`` -- e.g. an invalid suite) raises
+        :class:`~repro.errors.ReproError` and leaves the connection
+        usable.  Iterate the returned stream to exhaustion before
+        issuing other requests on this client.
         """
         request: dict[str, Any] = {
             "op": SUBSCRIBE_OP,
@@ -210,14 +230,15 @@ class ServiceClient:
     ) -> "SubscribeStream":
         """Submit a whole suite as one partitioned sweep.
 
-        Unlike :meth:`subscribe` (which an async cluster front dissolves
-        into per-spec routed solves), a sweep ships spec *partitions* to
-        the workers, where each runs as one local batch plan -- all five
-        execution tiers active.  ``mode="stream"`` yields per-spec
-        completion records exactly like subscribe; ``mode="fold"``
-        yields a single ``partial`` record carrying merged per-``(kind,
-        backend)`` aggregate tables instead of envelopes.  The ack and
-        summary carry fan-out, partition sizes and fleet tier counts.
+        A sweep ships spec *partitions* to the workers, where each runs
+        as one local batch plan -- all five execution tiers active (a
+        cluster front runs :meth:`subscribe` through the same
+        partitions; only its ack and summary differ).  ``mode="stream"``
+        yields per-spec completion records exactly like subscribe;
+        ``mode="fold"`` yields a single ``partial`` record carrying
+        merged per-``(kind, backend)`` aggregate tables instead of
+        envelopes.  The ack and summary carry fan-out, partition sizes
+        and fleet tier counts.
         """
         request: dict[str, Any] = {
             "op": SWEEP_OP,

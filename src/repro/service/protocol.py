@@ -1,9 +1,9 @@
 """The JSON-Lines request/response protocol of the serving tier.
 
 One request per line, one response per line.  The same functions back
-the TCP daemon (:mod:`repro.service.daemon`) and the CLI's in-process
-``repro solve --stdin-jsonl``, so the wire format is defined exactly
-once.
+the TCP daemon (:mod:`repro.service.aio`), the cluster front
+(:mod:`repro.cluster.router`) and the CLI's in-process ``repro solve
+--stdin-jsonl``, so the wire format is defined exactly once.
 
 Requests (one JSON object per line)::
 
@@ -66,23 +66,22 @@ SHUTDOWN_OP = "shutdown"
 
 #: Router-only verb: one document with the shard table, health and
 #: restart counters (the ``repro cluster status`` CLI reads it).  Only
-#: the cluster fronts answer it; a bare worker daemon rejects it like
+#: the cluster front answers it; a bare worker daemon rejects it like
 #: any unknown verb.
 CLUSTER_STATUS_OP = "cluster-status"
 
 #: The streamed-sweep verb: one request carrying a whole spec suite,
 #: answered with an ack, then one ``completion`` record per unique key
-#: in completion order, then one ``summary`` record.  Needs a streaming
-#: transport -- the asyncio servers of :mod:`repro.service.aio` and the
-#: async cluster front; the thread-per-connection daemon refuses it
-#: cleanly (one response per request is its whole contract).
+#: in completion order, then one ``summary`` record.  Served by the
+#: daemon and the cluster front over one connection; the in-process
+#: ``--stdin-jsonl`` path (one response per request) refuses it.
 SUBSCRIBE_OP = "subscribe"
 
 #: The partitioned-sweep verb: like ``subscribe``, one request carrying
 #: a whole spec suite -- but executed as **one** local batch plan (all
 #: five tiers active, kernel batch included) instead of per-spec routing.
 #: Against a worker the suite *is* the shard's partition; against the
-#: async cluster front the router partitions the suite across shards by
+#: cluster front the router partitions the suite across shards by
 #: routing key and ships one sweep per worker.  ``mode`` selects the
 #: reply shape: ``stream`` (per-spec completion records, then a summary
 #: with the true ``fingerprint_digest``) or ``fold`` (one ``partial``
@@ -199,16 +198,10 @@ def handle_request(service: SolverService, data: Any) -> dict[str, Any]:
             return hello_response(data, request_id)
         if op == SHUTDOWN_OP:
             return {"ok": True, "op": SHUTDOWN_OP, "stopping": True}
-        if op == SUBSCRIBE_OP:
+        if op in (SUBSCRIBE_OP, SWEEP_OP):
             raise ReproError(
-                "subscribe streams results over one connection and needs the "
-                "asyncio transport; start the daemon with `repro serve --async`"
-            )
-        if op == SWEEP_OP:
-            raise ReproError(
-                "sweep streams a partitioned suite over one connection and "
-                "needs the asyncio transport; start the daemon with "
-                "`repro serve --async` (add --workers N for a fleet)"
+                f"{op} streams results over one connection; send it to a "
+                "`repro serve` daemon"
             )
         raise ReproError(
             f"unknown op {op!r}; expected solve, health, metrics, "
@@ -260,9 +253,9 @@ def encode_response(response: dict[str, Any]) -> str:
 
 # -- the subscribe stream ------------------------------------------------------
 #
-# Every record shape of a subscription is built here, so the asyncio
-# daemon, the async cluster front and the client all agree on the wire
-# format (JSON lines and binary frames carry the same dicts).
+# Every record shape of a subscription is built here, so the daemon,
+# the cluster front and the client all agree on the wire format (JSON
+# lines and binary frames carry the same dicts).
 
 
 def _parse_spec_suite(data: dict[str, Any], verb: str) -> tuple[list[Any], Optional[str]]:
@@ -319,10 +312,8 @@ def subscribe_ack(
 ) -> dict[str, Any]:
     """The first response of an accepted subscription.
 
-    ``fanout`` reports the *effective* per-subscription concurrency (the
-    router's ``sweep_fanout`` clipped to the unique count), so a
-    throughput-capped run is diagnosable from the wire instead of being
-    silently ceilinged.
+    ``fanout`` reports the number of concurrent partition streams (1 on
+    a single daemon; on the cluster front, the shards that got specs).
     """
     ack: dict[str, Any] = {
         "ok": True,

@@ -22,7 +22,7 @@ tier).  On top of the runner's caching it adds what a cache cannot do:
   request).
 
 The service is transport-agnostic: the TCP JSON-Lines daemon
-(:mod:`repro.service.daemon`) and the CLI's ``solve --stdin-jsonl``
+(:mod:`repro.service.aio`) and the CLI's ``solve --stdin-jsonl``
 both speak to exactly this object.
 """
 

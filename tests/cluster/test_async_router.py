@@ -1,9 +1,9 @@
-"""Integration tests for the asyncio cluster front (:class:`AsyncShardRouter`).
+"""Integration tests for the cluster front's streamed and binary paths.
 
-Same contract as the threaded router -- unchanged wire format, answers
-bit-identical to a direct ``solve()`` -- plus the streamed ``subscribe``
-verb fanned out over the fleet.  Real worker subprocesses, analytic
-backend to keep the fleet cheap.
+Unchanged wire format, answers bit-identical to a direct ``solve()``,
+binary negotiation, and the streamed ``subscribe`` verb partitioned
+over the fleet.  Real worker subprocesses, analytic backend to keep the
+fleet cheap.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ def _specs(count: int) -> list[SearchProblem]:
 
 @pytest.fixture(scope="module")
 def async_cluster():
-    supervisor = ClusterSupervisor(workers=2, backend=BACKEND, async_workers=True)
+    supervisor = ClusterSupervisor(workers=2, backend=BACKEND)
     supervisor.start()
-    router = AsyncShardRouter(
-        supervisor, backend=BACKEND, route_timeout=60.0, sweep_fanout=4
-    )
+    router = AsyncShardRouter(supervisor, backend=BACKEND, route_timeout=60.0)
     router.serve_background()
     try:
         yield router
@@ -67,7 +65,6 @@ class TestAsyncRouting:
         metrics = json.loads(metrics_line)["metrics"]
         assert metrics["cluster"]["workers"] == 2
         assert "subscriptions" in metrics
-        # The async front's own wire, not the unserved core's zeros.
         assert metrics["transport"]["json"]["requests"] > 0
 
     def test_binary_negotiation_round_trip(self, async_cluster):
@@ -96,6 +93,9 @@ class TestAsyncRouting:
             spec.canonical_hash() for spec in specs
         }
         assert all(record["id"] == "fleet-sweep" for record in records)
+        # Partitioned like a sweep, but the records keep the
+        # single-daemon subscribe shape: no ``shard`` stamp.
+        assert all("shard" not in record for record in records)
         summary = stream.summary
         assert summary["records"] == 12
         assert summary["errors"] == 0
@@ -103,19 +103,3 @@ class TestAsyncRouting:
         results, _ = BatchRunner(backend=BACKEND).run(specs)
         assert summary["fingerprint_digest"] == fingerprint_digest(results)
 
-
-class TestClusterStatusSchema:
-    """Satellite pin: the async front's ``cluster-status`` answer is
-    top-level identical to the threaded front's (both delegate to one
-    ``_dispatch``), under the verb declared in the protocol module."""
-
-    def test_status_schema_matches_the_threaded_front(self, async_cluster):
-        from repro.service.protocol import CLUSTER_STATUS_OP
-
-        (line,) = request_lines(
-            async_cluster.host, async_cluster.port, [json.dumps({"op": CLUSTER_STATUS_OP})]
-        )
-        response = json.loads(line)
-        assert response["op"] == CLUSTER_STATUS_OP
-        assert set(response) == {"ok", "op", "cluster"}
-        assert response["ok"] is True

@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro.api import ResultStore, SearchProblem, SolveResult, solve
-from repro.cluster import ClusterSupervisor, ShardRouter, WorkerHandle
-from repro.service import ReproServer, request_lines
+from repro.cluster import AsyncShardRouter, ClusterSupervisor, WorkerHandle
+from repro.service import AsyncReproServer, request_lines
 
 BACKEND = "analytic"
 
@@ -44,7 +44,7 @@ def _expected_fingerprints(specs) -> dict[int, object]:
 def cluster():
     supervisor = ClusterSupervisor(workers=2, backend=BACKEND)
     supervisor.start()
-    router = ShardRouter(supervisor, backend=BACKEND, route_timeout=60.0)
+    router = AsyncShardRouter(supervisor, backend=BACKEND, route_timeout=60.0)
     router.serve_background()
     try:
         yield router
@@ -199,13 +199,13 @@ class TestRouterCoalescing:
                 return super()._solve(spec)
 
         register_backend(_Gated.name, _Gated)
-        worker_server = ReproServer(backend=_Gated.name)
+        worker_server = AsyncReproServer(backend=_Gated.name)
         worker_server.serve_background()
         supervisor = ClusterSupervisor(workers=1, backend=_Gated.name)
         handle = supervisor.handles[0]
         handle.host, handle.port = worker_server.host, worker_server.port
         handle.generation = 1
-        router = ShardRouter(supervisor, backend=_Gated.name)
+        router = AsyncShardRouter(supervisor, backend=_Gated.name)
         router.serve_background()
         try:
             spec = _specs(1)[0]
@@ -254,13 +254,13 @@ class TestRouterBackendPinning:
         """Regression: the forward line always names the effective backend --
         a worker whose own default differs must not substitute it, or the
         routing key and the solved envelope would disagree."""
-        worker_server = ReproServer(backend="simulation")  # fleet default differs
+        worker_server = AsyncReproServer(backend="simulation")  # fleet default differs
         worker_server.serve_background()
         supervisor = ClusterSupervisor(workers=1, backend="simulation")
         handle = supervisor.handles[0]
         handle.host, handle.port = worker_server.host, worker_server.port
         handle.generation = 1
-        router = ShardRouter(supervisor, backend=BACKEND)  # analytic
+        router = AsyncShardRouter(supervisor, backend=BACKEND)  # analytic
         router.serve_background()
         try:
             spec = _specs(1)[0]
@@ -286,7 +286,7 @@ class TestStoreMerge:
 
         supervisor = ClusterSupervisor(workers=2, backend=BACKEND, store=store_dir)
         supervisor.start()
-        router = ShardRouter(supervisor, backend=BACKEND)
+        router = AsyncShardRouter(supervisor, backend=BACKEND)
         router.serve_background()
         responses = [
             json.loads(line)
@@ -304,7 +304,7 @@ class TestStoreMerge:
         # answers everything without a single fresh solve.
         supervisor = ClusterSupervisor(workers=2, backend=BACKEND, store=store_dir)
         supervisor.start()
-        router = ShardRouter(supervisor, backend=BACKEND)
+        router = AsyncShardRouter(supervisor, backend=BACKEND)
         router.serve_background()
         try:
             warm = [
@@ -383,7 +383,7 @@ class TestServeWorkersCli:
     def test_cluster_status_against_a_plain_daemon_fails_cleanly(self, capsys):
         from repro.cli import main as cli_main
 
-        with ReproServer(backend=BACKEND) as server:
+        with AsyncReproServer(backend=BACKEND) as server:
             server.serve_background()
             code = cli_main(
                 ["cluster", "status", "--host", server.host, "--port", str(server.port)]
@@ -393,6 +393,18 @@ class TestServeWorkersCli:
 
 
 class TestSupervisorValidation:
+    def test_boot_router_tears_the_fleet_down_when_the_router_fails(self):
+        """The workers are detached processes: a router that cannot be
+        built must not leave them running unsupervised."""
+        from repro.cluster import boot_router
+
+        supervisor = ClusterSupervisor(workers=1, backend=BACKEND)
+        with pytest.raises(TypeError):
+            boot_router(supervisor, no_such_option=True)
+        handle = supervisor.handles[0]
+        assert handle.process is not None  # the fleet really was started
+        assert not handle.alive
+
     def test_worker_count_validated(self):
         from repro.errors import InvalidParameterError
 
@@ -446,10 +458,8 @@ class TestFleetArenaAndBinaryLinks:
 
 
 class TestClusterStatusSchema:
-    """Satellite pin: both cluster fronts answer ``cluster-status`` with
-    the same top-level schema, using the verb declared in the protocol
-    module (the threaded half; the async half lives in
-    ``test_async_router.py``)."""
+    """The router answers ``cluster-status`` with a fixed top-level
+    schema, under the verb declared in the protocol module."""
 
     def test_status_schema_matches_the_declared_verb(self, cluster):
         from repro.service.protocol import CLUSTER_STATUS_OP

@@ -1,23 +1,25 @@
-"""Integration tests for the distributed ``sweep`` verb on the async cluster.
+"""Integration tests for the distributed ``sweep`` verb on the cluster.
 
 Real worker subprocesses behind an :class:`AsyncShardRouter`.  The
 parity/fold/counter tests share one analytic fleet; the failover test
-boots its own ``simulation``-backend fleet with a persistent store so a
-mid-sweep SIGKILL lands while the victim still owns unfinished specs,
-then checks the re-partitioned digest, the exactly-once store merge and
-that the respawned worker takes traffic again.
+boots its own ``simulation``-backend fleet with a persistent store,
+freezes one worker so a mid-sweep SIGKILL always lands while it still
+owns its whole partition, then checks the re-partitioned digest, the
+exactly-once store merge and that the respawned worker takes traffic
+again.
 """
 
 from __future__ import annotations
 
 import json
+import signal
 import time
 
 import pytest
 
 from repro.api import ResultStore, SearchProblem
 from repro.api.batch import BatchRunner
-from repro.cluster import AsyncShardRouter, ClusterSupervisor, ShardRouter
+from repro.cluster import AsyncShardRouter, ClusterSupervisor, shard_key
 from repro.experiments.manifest import fingerprint_digest, fold_digest
 from repro.analysis.streaming import fold_envelopes
 from repro.service import ServiceClient, request_lines
@@ -37,11 +39,9 @@ def _metrics(router) -> dict:
 
 @pytest.fixture(scope="module")
 def async_cluster():
-    supervisor = ClusterSupervisor(workers=2, backend=BACKEND, async_workers=True)
+    supervisor = ClusterSupervisor(workers=2, backend=BACKEND)
     supervisor.start()
-    router = AsyncShardRouter(
-        supervisor, backend=BACKEND, route_timeout=60.0, sweep_fanout=4
-    )
+    router = AsyncShardRouter(supervisor, backend=BACKEND, route_timeout=60.0)
     router.serve_background()
     try:
         yield router
@@ -118,44 +118,45 @@ class TestDistributedSweep:
         with ServiceClient(async_cluster.host, async_cluster.port) as client:
             stream = client.subscribe(specs, backend=BACKEND)
             list(stream)
-        # sweep_fanout=4 on the fixture: the previously-silent ceiling
-        # is now visible in the ack.
-        assert stream.ack["fanout"] == 4
+        # A subscribe runs through the sweep's partitions: its fanout is
+        # the number of shards that got specs.
+        shards = {
+            async_cluster.ring.lookup(shard_key(BACKEND, spec.canonical_hash()))
+            for spec in specs
+        }
+        assert stream.ack["fanout"] == len(shards)
 
-
-class TestSweepRefusals:
-    def test_threaded_front_refuses_sweep(self):
-        supervisor = ClusterSupervisor(workers=1, backend=BACKEND)
-        supervisor.start()
-        router = ShardRouter(supervisor, backend=BACKEND)
-        try:
-            router.serve_background()
-            spec = _specs(1)[0]
-            (line,) = request_lines(
-                router.host,
-                router.port,
-                [json.dumps({"op": "sweep", "specs": [spec.to_dict()]})],
-            )
-            response = json.loads(line)
-            assert response["ok"] is False
-            assert "--async" in response["error"]
-        finally:
-            router.stop()
-
-    def test_async_front_over_threaded_workers_refuses_cleanly(self):
-        supervisor = ClusterSupervisor(workers=1, backend=BACKEND, async_workers=False)
-        supervisor.start()
-        router = AsyncShardRouter(supervisor, backend=BACKEND, route_timeout=10.0)
-        try:
-            router.serve_background()
-            specs = _specs(2)
-            from repro.errors import ReproError
-
-            with ServiceClient(router.host, router.port) as client:
-                with pytest.raises(ReproError, match="async"):
-                    client.sweep(specs, backend=BACKEND)
-        finally:
-            router.stop()
+    def test_subscribe_runs_through_the_sweep_partitions(self, async_cluster):
+        """A fleet subscribe is the sweep path with subscribe shapes: the
+        same partitions (counted in the per-shard sweep counters), the
+        same digest, no sweep-only keys in the ack or summary."""
+        specs = _specs(14)
+        swept_before = {
+            row["worker"]: row["sweeps"]["swept"] for row in _metrics(async_cluster)["shards"]
+        }
+        with ServiceClient(async_cluster.host, async_cluster.port) as client:
+            subscribed = client.subscribe(specs, backend=BACKEND)
+            list(subscribed)
+            swept = client.sweep(specs, backend=BACKEND)
+            list(swept)
+        assert subscribed.ack["op"] == "subscribe"
+        assert "partitions" not in subscribed.ack
+        assert subscribed.ack["fanout"] == swept.ack["fanout"]
+        assert set(subscribed.summary) == {
+            "ok", "op", "records", "errors", "total", "unique",
+            "fingerprint_digest", "sources", "wall_time_ms",
+        }
+        assert (
+            subscribed.summary["fingerprint_digest"]
+            == swept.summary["fingerprint_digest"]
+        )
+        partition = {row["worker"]: row["specs"] for row in swept.ack["partitions"]}
+        swept_after = {
+            row["worker"]: row["sweeps"]["swept"] for row in _metrics(async_cluster)["shards"]
+        }
+        for worker, before in swept_before.items():
+            # Once for the subscribe, once for the sweep.
+            assert swept_after[worker] - before == 2 * partition.get(worker, 0)
 
 
 class TestWorkerKillMidSweep:
@@ -165,38 +166,47 @@ class TestWorkerKillMidSweep:
         expected_digest = fingerprint_digest(expected_results)
 
         store_dir = tmp_path / "store"
-        supervisor = ClusterSupervisor(
-            workers=2, backend="simulation", store=store_dir, async_workers=True
-        )
+        supervisor = ClusterSupervisor(workers=2, backend="simulation", store=store_dir)
         supervisor.start()
         router = AsyncShardRouter(supervisor, backend="simulation", route_timeout=60.0)
+        handle = supervisor.handles[0]
+        victim = handle.process
+        killed_generation = handle.generation
         try:
             router.serve_background()
+            # Freeze worker 0 before the sweep: the kernel backlog still
+            # accepts its partition, but it answers nothing, so the kill
+            # below always lands while it owns every spec of it.
+            victim.send_signal(signal.SIGSTOP)
             with ServiceClient(router.host, router.port, timeout=120) as client:
                 stream = client.sweep(suite, backend="simulation")
+                sizes = {row["worker"]: row["specs"] for row in stream.ack["partitions"]}
+                assert set(sizes) == {0, 1}
                 records = []
                 for record in stream:
                     records.append(record)
-                    if len(records) == 2:
-                        supervisor.handles[0].process.kill()
+                    if len(records) == sizes[1]:
+                        # Worker 1's whole partition has streamed.
+                        victim.kill()
                 summary = stream.summary
 
             # The dead worker's unfinished specs re-partitioned along the
             # ring and the digest still matches the local run exactly.
             assert summary["errors"] == 0
             assert summary["repartitioned"] > 0
+            assert summary["repartitioned"] == sizes[0]
             assert len(records) == len(suite)
             assert summary["fingerprint_digest"] == expected_digest
             spec_hashes = [record["key"]["spec_hash"] for record in records]
             assert len(spec_hashes) == len(set(spec_hashes))  # no double delivery
 
-            # The supervisor respawns the victim in the background...
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline and not supervisor.handles[0].alive:
-                time.sleep(0.1)
-            handle = supervisor.handles[0]
+            # The supervisor respawns the victim in the background; the
+            # generation moves only once the new worker published its port.
+            deadline = time.monotonic() + 60.0
+            while handle.generation == killed_generation:
+                assert time.monotonic() < deadline, "victim never respawned"
+                time.sleep(0.05)
             assert handle.alive and handle.restarts >= 1
-            time.sleep(0.5)  # let the fresh worker finish standing up
 
             # ...and the respawned worker is reused: the next sweep
             # assigns it a partition and it completes every spec of it.
@@ -211,6 +221,8 @@ class TestWorkerKillMidSweep:
             )
             assert worker0["specs"] > 0 and worker0["completed"] == worker0["specs"]
         finally:
+            if victim.poll() is None:  # only when an assertion fired before the kill
+                victim.send_signal(signal.SIGCONT)
             router.stop()
         assert router.leaked_tasks == []
 

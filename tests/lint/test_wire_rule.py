@@ -85,6 +85,49 @@ class TestVerbTable:
         assert findings == []
 
 
+class TestStaleConfig:
+    """A configured module or dispatcher that is gone must not be
+    skipped silently: the rule would check nothing and stay quiet."""
+
+    STALE_CONFIG = LintConfig(
+        taint_roots=(),
+        protocol_module="repro.service.protocol",
+        frames_module="repro.service.frames",
+        wire_modules=("repro.service.protocol", "repro.service.gone"),
+        dispatchers=(
+            ("repro.service.protocol", "handle_request"),
+            ("repro.service.daemon", "_no_such_dispatch"),
+            ("repro.service.gone", "_dispatch"),
+        ),
+    )
+
+    def test_missing_module_and_dispatchers_are_findings(self, lint_tree):
+        findings = lint_tree(
+            {
+                "service/protocol.py": PROTOCOL,
+                "service/daemon.py": "def _dispatch(op, data):\n    return None\n",
+            },
+            self.STALE_CONFIG,
+            rule="R003",
+        )
+        messages = sorted(finding.message for finding in findings)
+        assert messages == [
+            "configured dispatcher repro.service.daemon._no_such_dispatch() does not exist",
+            "configured dispatcher repro.service.gone._dispatch() does not exist",
+            "configured wire module 'repro.service.gone' does not exist",
+        ]
+        assert all(finding.path == "repro/service/protocol.py" for finding in findings)
+
+    def test_tree_without_a_protocol_module_stays_clean(self, lint_tree):
+        """Fixture trees of the other rules carry no wire schema at all."""
+        findings = lint_tree(
+            {"api/spec.py": "def canonical_hash():\n    return 0\n"},
+            self.STALE_CONFIG,
+            rule="R003",
+        )
+        assert findings == []
+
+
 class TestResponseDivergence:
     def test_missing_key_across_transports(self, lint_tree):
         """A transport answering 'solve' without the declared result key."""

@@ -1,10 +1,10 @@
-"""Tests for the asyncio serving transport (``repro serve --async``).
+"""Tests for the asyncio serving transport (``repro serve``).
 
-Covers the golden-transcript JSON compatibility against the threaded
-daemon, the negotiated binary frames, the streamed ``subscribe`` verb
-(ordering, digest parity, error handling), the backpressure contract of
-slow subscribers, the abrupt-disconnect drain invariant, and the
-zero-leaked-tasks shutdown audit.
+Covers the frozen golden JSON transcript, the negotiated binary frames,
+the streamed ``subscribe`` verb (ordering, digest parity, error
+handling), the backpressure contract of slow subscribers, the
+abrupt-disconnect drain invariant, and the zero-leaked-tasks shutdown
+audit.
 """
 
 from __future__ import annotations
@@ -13,20 +13,21 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.api import SearchProblem, SolveResult
+from repro.api import SearchProblem, SolveResult, solve
 from repro.api.batch import BatchRunner
 from repro.errors import ReproError
 from repro.experiments.manifest import fingerprint_digest
-from repro.service import (
-    AsyncReproServer,
-    ReproServer,
-    ServiceClient,
-    request_lines,
-)
+from repro.service import AsyncReproServer, ServiceClient, request_lines
 from repro.service.aio import _SubscriptionBridge
+
+#: The daemon's answers to ``_DETERMINISTIC_LINES``, one per line,
+#: frozen before the thread-per-connection daemon was removed; that
+#: daemon and this one wrote these exact bytes.
+GOLDEN_TRANSCRIPT = Path(__file__).with_name("golden_transcript.jsonl")
 
 
 def _specs(count: int, offset: float = 0.0) -> list[SearchProblem]:
@@ -46,8 +47,8 @@ def server():
 # -- JSON-Lines compatibility --------------------------------------------------
 
 
-#: Requests whose responses are fully deterministic: the async server
-#: must answer them byte-for-byte like the threaded daemon.
+#: Requests whose responses are fully deterministic: the daemon must
+#: answer them byte-for-byte like the frozen golden transcript.
 _DETERMINISTIC_LINES = [
     "this is not json",
     json.dumps([1, 2, 3]),
@@ -74,38 +75,44 @@ def _masked(line: str) -> dict:
 
 
 class TestGoldenTranscript:
-    def test_deterministic_verbs_answer_byte_for_byte(self):
-        """Every deterministic verb answers with the exact same bytes on
-        both transports -- the compatibility layer is not approximate."""
-        with ReproServer(backend="auto") as threaded, AsyncReproServer(
-            backend="auto"
-        ) as aio:
-            threaded.serve_background()
-            aio.serve_background()
-            golden = request_lines(threaded.host, threaded.port, _DETERMINISTIC_LINES)
-            actual = request_lines(aio.host, aio.port, _DETERMINISTIC_LINES)
+    def test_deterministic_verbs_answer_byte_for_byte(self, server):
+        """Every deterministic verb answers with the exact bytes of the
+        frozen transcript -- the wire is pinned, not approximated."""
+        golden = GOLDEN_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+        assert len(golden) == len(_DETERMINISTIC_LINES)
+        actual = request_lines(server.host, server.port, _DETERMINISTIC_LINES)
         assert actual == golden
 
-    def test_solve_health_transcripts_match_modulo_timing(self):
+    def test_solve_health_transcripts_match_modulo_timing(self, server):
         spec = SearchProblem(distance=1.4, visibility=0.3)
         lines = [
             json.dumps({"op": "solve", "spec": spec.to_dict(), "id": 1}),
             json.dumps({**spec.to_dict(), "id": 2}),  # bare-spec shorthand
             json.dumps({"op": "health"}),
         ]
-        with ReproServer(backend="auto") as threaded, AsyncReproServer(
-            backend="auto"
-        ) as aio:
-            threaded.serve_background()
-            aio.serve_background()
-            golden = request_lines(threaded.host, threaded.port, lines)
-            actual = request_lines(aio.host, aio.port, lines)
-        for golden_line, actual_line in zip(golden[:2], actual[:2]):
-            assert _masked(actual_line) == _masked(golden_line)
-        golden_health = json.loads(golden[2])["health"]
-        actual_health = json.loads(actual[2])["health"]
-        assert set(actual_health) == set(golden_health)
-        assert actual_health["status"] == golden_health["status"]
+        actual = request_lines(server.host, server.port, lines)
+        envelope = _masked(json.dumps({"result": solve(spec, backend="auto").to_dict()}))
+        for request_id, served_by, line in zip((1, 2), ("solve", "cache"), actual[:2]):
+            assert _masked(line) == {
+                "ok": True,
+                "op": "solve",
+                "id": request_id,
+                "served_by": served_by,
+                **envelope,
+            }
+        health = json.loads(actual[2])
+        assert health["ok"] and health["op"] == "health"
+        assert set(health["health"]) == {
+            "status",
+            "inflight",
+            "max_inflight",
+            "queue_limit",
+            "backend",
+            "store",
+            "cache_len",
+            "uptime_s",
+        }
+        assert health["health"]["status"] == "serving"
 
     def test_metrics_document_carries_transport_and_subscriptions(self, server):
         with ServiceClient(server.host, server.port) as client:
@@ -230,13 +237,6 @@ class TestSubscribe:
             # No stream started either time: the connection is still in
             # lockstep and answers ordinary verbs.
             assert client.request({"op": "health"})["ok"]
-
-    def test_threaded_daemon_refuses_subscribe_pointing_at_async(self):
-        with ReproServer(backend="auto") as threaded:
-            threaded.serve_background()
-            with ServiceClient(threaded.host, threaded.port) as client:
-                with pytest.raises(ReproError, match="--async"):
-                    client.subscribe(_specs(2))
 
     def test_per_spec_failures_stream_as_failed_records(self, server):
         from repro.api.backends import _REGISTRY, AnalyticBackend, register_backend

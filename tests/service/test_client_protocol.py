@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.errors import ServiceProtocolError
-from repro.service import ReproServer, ServiceClient
+from repro.service import AsyncReproServer, ServiceClient
 
 
 class _ManualServer:
@@ -105,7 +105,7 @@ class TestOtherBreakage:
         assert client.closed
 
     def test_healthy_round_trips_unaffected(self):
-        with ReproServer(backend="auto") as server:
+        with AsyncReproServer(backend="auto") as server:
             server.serve_background()
             with ServiceClient(server.host, server.port) as client:
                 assert client.request({"op": "health"})["ok"]

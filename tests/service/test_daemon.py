@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import SearchProblem, SolveResult, solve
 from repro.api.backends import _REGISTRY, AnalyticBackend, register_backend
-from repro.service import ReproServer, SolverService, request_lines
+from repro.service import AsyncReproServer, SolverService, request_lines
 
 
 def _solve_line(spec, backend=None, request_id=None) -> str:
@@ -35,7 +35,7 @@ class _SlowAnalytic(AnalyticBackend):
 
 @pytest.fixture
 def server():
-    with ReproServer(backend="auto", max_inflight=16) as srv:
+    with AsyncReproServer(backend="auto", max_inflight=16) as srv:
         srv.serve_background()
         yield srv
 
@@ -176,7 +176,7 @@ class TestShutdownRace:
 
         _SlowAnalytic.release.clear()
         register_backend(_SlowAnalytic.name, _SlowAnalytic)
-        server = ReproServer(backend="auto")
+        server = AsyncReproServer(backend="auto")
         server.serve_background()
         try:
             spec = SearchProblem(distance=1.3, visibility=0.3)
@@ -223,26 +223,26 @@ class TestShutdownRace:
 
 class TestLifecycle:
     def test_shutdown_verb_stops_the_server(self):
-        server = ReproServer(backend="analytic")
+        server = AsyncReproServer(backend="analytic")
         server.serve_background()
         (line,) = request_lines(server.host, server.port, [json.dumps({"op": "shutdown"})])
         assert json.loads(line)["stopping"]
         deadline = time.monotonic() + 10.0
-        while not (server._stopped.is_set() and server.service.draining):
+        while not (server.stopping and server.service.draining):
             assert time.monotonic() < deadline
             time.sleep(0.01)
 
     def test_ephemeral_port_is_reported(self):
-        with ReproServer(backend="analytic", port=0) as srv:
+        with AsyncReproServer(backend="analytic", port=0) as srv:
             assert srv.port > 0
             assert srv.address.endswith(str(srv.port))
 
     def test_server_builds_service_from_kwargs(self):
-        with ReproServer(backend="analytic", max_inflight=3, queue_limit=5) as srv:
+        with AsyncReproServer(backend="analytic", max_inflight=3, queue_limit=5) as srv:
             assert srv.service.max_inflight == 3
             assert srv.service.queue_limit == 5
 
     def test_explicit_service_is_used(self):
         service = SolverService(backend="analytic")
-        with ReproServer(service=service) as srv:
+        with AsyncReproServer(service=service) as srv:
             assert srv.service is service

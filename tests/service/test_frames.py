@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.api import SearchProblem, SolveResult, solve
-from repro.service import ReproServer, ServiceClient, request_lines
+from repro.service import AsyncReproServer, ServiceClient, request_lines
 from repro.service.frames import (
     FORMAT_BINARY,
     FORMAT_JSON,
@@ -169,7 +169,7 @@ class TestFraming:
 
 @pytest.fixture
 def server():
-    with ReproServer(backend="auto", max_inflight=16) as srv:
+    with AsyncReproServer(backend="auto", max_inflight=16) as srv:
         srv.serve_background()
         yield srv
 

@@ -1,14 +1,11 @@
-"""Worker-side ``sweep`` verb on a single asyncio daemon.
+"""Worker-side ``sweep`` verb on a single daemon.
 
 The cluster router drives exactly this wire contract against each
-worker, so the single-daemon behaviour -- stream mode, fold mode, the
-threaded-transport refusal and the request validation -- is pinned here
-without booting a fleet.
+worker, so the single-daemon behaviour -- stream mode, fold mode and
+the request validation -- is pinned here without booting a fleet.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -17,7 +14,7 @@ from repro.api import SearchProblem
 from repro.api.batch import BatchRunner
 from repro.errors import ReproError
 from repro.experiments.manifest import fingerprint_digest, fold_digest
-from repro.service import AsyncReproServer, ReproServer, ServiceClient, request_lines
+from repro.service import AsyncReproServer, ServiceClient
 
 BACKEND = "analytic"
 
@@ -87,19 +84,6 @@ class TestSweepFold:
 
 
 class TestSweepRefusals:
-    def test_threaded_daemon_refuses_with_a_pointer(self):
-        spec = _specs(1)[0]
-        with ReproServer(backend=BACKEND) as threaded:
-            threaded.serve_background()
-            (line,) = request_lines(
-                threaded.host,
-                threaded.port,
-                [json.dumps({"op": "sweep", "specs": [spec.to_dict()]})],
-            )
-        response = json.loads(line)
-        assert response["ok"] is False
-        assert "--async" in response["error"]
-
     def test_invalid_mode_is_refused_and_connection_survives(self, server):
         specs = _specs(2)
         with ServiceClient(server.host, server.port) as client:

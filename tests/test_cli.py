@@ -412,6 +412,29 @@ class TestServeAndStreaming:
         lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert [line["ok"] for line in lines] == [False, True]
 
+    def test_stdin_jsonl_refuses_the_streaming_verbs(self, capsys, monkeypatch):
+        """One response per request line: ``subscribe`` and ``sweep`` are
+        refused with a pointer at the daemon, and the stream goes on."""
+        import io
+
+        spec = {"schema_version": 1, "kind": "search", "distance": 1.2, "visibility": 0.3}
+        requests = [
+            json.dumps({"op": "subscribe", "specs": [spec], "id": 1}),
+            json.dumps({"op": "sweep", "specs": [spec], "id": 2}),
+            json.dumps(spec),
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(requests) + "\n"))
+        code = main(["solve", "--stdin-jsonl", "--backend", "analytic", "--no-store"])
+        assert code == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert [line["ok"] for line in lines] == [False, False, True]
+        for line, verb, request_id in zip(lines, ("subscribe", "sweep"), (1, 2)):
+            assert line["op"] == verb and line["id"] == request_id
+            assert line["error"] == (
+                f"{verb} streams results over one connection; send it to a "
+                "`repro serve` daemon"
+            )
+
     def test_stdin_jsonl_conflicts_with_spec_file(self, capsys, tmp_path):
         spec_file = tmp_path / "specs.json"
         spec_file.write_text("[]", encoding="utf-8")
@@ -637,12 +660,13 @@ class TestSweepCommand:
 
 
 class TestPortFilePublication:
-    """Satellite: ``--port-file`` lands atomically on both transports."""
+    """Satellite: ``--port-file`` lands atomically, with or without the
+    legacy ``--async`` flag."""
 
     _spawn_serve = TestServeSignals._spawn_serve
 
     @pytest.mark.parametrize("extra", [(), ("--async",)],
-                             ids=["threaded", "asyncio"])
+                             ids=["plain", "async-flag"])
     def test_port_file_is_complete_and_leaves_no_temp(self, tmp_path, extra):
         import os
         import signal
@@ -664,6 +688,10 @@ class TestPortFilePublication:
                 process.kill()
 
     def test_serve_parser_accepts_async(self):
-        namespace = build_parser().parse_args(["serve", "--async"])
-        assert namespace.use_async
-        assert not build_parser().parse_args(["serve"]).use_async
+        """``--async`` still parses; asyncio is the only transport, so the
+        flag leaves every setting the serve command reads unchanged."""
+        flagged = vars(build_parser().parse_args(["serve", "--async"]))
+        plain = vars(build_parser().parse_args(["serve"]))
+        assert flagged.pop("async") is True
+        assert plain.pop("async") is False
+        assert flagged == plain
