@@ -14,6 +14,11 @@ the partitioned ``sweep`` verb **twice** -- cold, then warm -- plus one
 * the cold pass streams every unique spec exactly once, in contiguous
   sequence order, and its order-independent ``fingerprint_digest`` is
   bit-identical to a local ``BatchRunner.run()`` over the same suite;
+* every wire line of the cold pass (read raw, ack through summary) is
+  exactly ``encode_response(json.loads(line))`` plus a newline -- the
+  router splices each worker's pre-encoded ``result`` into the records
+  it relays, and this keeps the splice from drifting from the
+  canonical encoder;
 * the warm pass is answered entirely from the worker caches
   (``sources == {"cache": unique}``) with the identical digest;
 * the ``fold`` pass carries no per-spec envelopes, its router-merged
@@ -36,6 +41,7 @@ import argparse
 import json
 import os
 import shutil
+import socket
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +51,7 @@ from repro.api import BatchRunner, ResultStore
 from repro.cluster import ClusterSupervisor, boot_router
 from repro.experiments.manifest import fingerprint_digest, fold_digest
 from repro.service import ServiceClient
+from repro.service.protocol import encode_response
 from repro.workloads import spec_suite
 
 
@@ -68,6 +75,40 @@ def run_sweep(client: ServiceClient, specs, backend: str, mode: str):
         records.append(record)
     assert stream.summary is not None  # iterator stops only on the summary
     return stream.ack, records, fold_doc, stream.summary
+
+
+def raw_sweep(host: str, port: int, specs, backend: str) -> list[bytes]:
+    """One stream-mode sweep read as raw wire lines, ack through summary."""
+    request = {
+        "op": "sweep",
+        "mode": "stream",
+        "backend": backend,
+        "specs": [spec.to_dict() for spec in specs],
+        "id": "cold",
+    }
+    lines = []
+    with socket.create_connection((host, port), timeout=120.0) as connection:
+        with connection.makefile("rwb") as stream:
+            stream.write((json.dumps(request) + "\n").encode("utf-8"))
+            stream.flush()
+            while True:
+                raw = stream.readline()
+                if not raw:
+                    break
+                lines.append(raw)
+                record = json.loads(raw)
+                if record.get("op") == "summary" or not record.get("ok"):
+                    break
+    return lines
+
+
+def split_pass(lines: list[bytes]):
+    """A raw pass as (ack, completion records, summary)."""
+    decoded = [json.loads(raw) for raw in lines]
+    ack, summary = decoded[0], decoded[-1]
+    if not ack.get("ok") or summary.get("op") != "summary":
+        raise SystemExit(f"sweep smoke: the cold pass failed: {decoded[-1]}")
+    return ack, decoded[1:-1], summary
 
 
 def fold_tables_equal(merged: dict, local: dict, tolerance: float = 1e-6) -> bool:
@@ -138,10 +179,9 @@ def main() -> int:
                 f"({', '.join(handle.address or '?' for handle in supervisor.handles)}), "
                 f"{len(suite)} specs x 2 passes + fold"
             )
+            cold_lines = raw_sweep(router.host, router.port, suite, namespace.backend)
+            ack, cold_records, cold = split_pass(cold_lines)
             with ServiceClient(router.host, router.port) as client:
-                ack, cold_records, _, cold = run_sweep(
-                    client, suite, namespace.backend, "stream"
-                )
                 _, warm_records, _, warm = run_sweep(
                     client, suite, namespace.backend, "stream"
                 )
@@ -159,6 +199,18 @@ def main() -> int:
             failures.append(
                 f"ack partition sizes {[row['specs'] for row in partitions]} "
                 f"do not sum to {cold['unique']} unique specs"
+            )
+
+        # Cold pass, as raw bytes: every line is the canonical encoding.
+        drifted = [
+            raw
+            for raw in cold_lines
+            if raw != (encode_response(json.loads(raw)) + "\n").encode("utf-8")
+        ]
+        if drifted:
+            failures.append(
+                f"{len(drifted)} cold line(s) differ from encode_response of "
+                f"their decoded record, first: {drifted[0][:200]!r}"
             )
 
         # Cold pass: every unique spec once, in sequence, digest parity.
@@ -246,7 +298,8 @@ def main() -> int:
         return 1
     print(
         "sweep smoke: digest parity with the batch runner cold and warm, "
-        "warm pass all cache hits, fold tables equal the local fold, "
+        "cold lines canonically encoded, warm pass all cache hits, "
+        "fold tables equal the local fold, "
         "store merged exactly once, shutdown clean"
     )
     return 0

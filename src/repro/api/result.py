@@ -11,14 +11,14 @@ another without loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Optional
 
 from .._version import __version__
 from ..errors import InvalidParameterError
-from .spec import SCHEMA_VERSION, ProblemSpec, spec_from_dict
+from .spec import SCHEMA_VERSION, ProblemSpec, spec_dict_hash, spec_from_dict
 
-__all__ = ["Provenance", "SolveResult"]
+__all__ = ["Provenance", "SolveResult", "check_envelope"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +66,10 @@ class Provenance:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Provenance":
         return cls(**dict(data))
+
+
+#: The keys of :meth:`Provenance.to_dict`.
+_PROVENANCE_KEYS = frozenset(field.name for field in fields(Provenance))
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,3 +197,78 @@ class SolveResult:
             lines.append(f"analytic {bound_label}: {self.bound:.6g} (no simulation requested)")
         lines.append(f"[{self.backend} backend, {self.provenance.wall_time * 1e3:.2f} ms]")
         return "\n".join(lines)
+
+
+#: The keys of :meth:`SolveResult.to_dict`.
+_ENVELOPE_KEYS = frozenset(
+    (
+        "schema_version",
+        "spec",
+        "feasible",
+        "solved",
+        "measured_time",
+        "bound",
+        "bound_ratio",
+        "algorithm",
+        "details",
+        "provenance",
+    )
+)
+
+
+def check_envelope(data: Any, spec_hash: str) -> None:
+    """Check a wire envelope without building a :class:`SolveResult`.
+
+    Raises :class:`~repro.errors.InvalidParameterError` unless ``data``
+    has exactly the :meth:`SolveResult.to_dict` and provenance key sets,
+    this library's ``schema_version``, a ``bound_ratio`` consistent with
+    ``measured_time`` and ``bound``, and is the envelope of the spec
+    hashing to ``spec_hash``: its ``provenance.spec_hash`` names it and
+    its ``spec`` hashes to it (:func:`~repro.api.spec.spec_dict_hash`),
+    so the spec is that valid spec's own :meth:`~ProblemSpec.to_dict`.
+    Every envelope :meth:`SolveResult.from_dict` rejects fails here too,
+    and one that passes rebuilds to an object whose ``to_dict`` equals
+    ``data``.
+    """
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"an envelope must be an object, got {type(data).__name__}")
+    if data.keys() != _ENVELOPE_KEYS:
+        raise InvalidParameterError(_key_mismatch("envelope", data, _ENVELOPE_KEYS))
+    version = data["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InvalidParameterError(
+            f"unsupported result schema_version {version!r} "
+            f"(this library speaks {SCHEMA_VERSION})"
+        )
+    provenance = data["provenance"]
+    if not isinstance(provenance, dict) or provenance.keys() != _PROVENANCE_KEYS:
+        raise InvalidParameterError(_key_mismatch("provenance", provenance, _PROVENANCE_KEYS))
+    if provenance["spec_hash"] != spec_hash:
+        raise InvalidParameterError(
+            f"provenance names spec {str(provenance['spec_hash'])[:12]!r}, "
+            f"not {spec_hash[:12]!r}"
+        )
+    spec = data["spec"]
+    try:
+        matches = isinstance(spec, dict) and spec_dict_hash(spec) == spec_hash
+    except ValueError:  # NaN or infinity: no spec's canonical form
+        matches = False
+    if not matches:
+        raise InvalidParameterError(f"the envelope's spec does not hash to {spec_hash[:12]!r}")
+    measured, bound = data["measured_time"], data["bound"]
+    try:
+        ratio = None if measured is None or bound is None or bound == 0.0 else measured / bound
+    except TypeError as error:
+        raise InvalidParameterError(f"non-numeric measured_time or bound: {error}") from error
+    if data["bound_ratio"] != ratio:
+        raise InvalidParameterError(
+            f"bound_ratio {data['bound_ratio']!r} is not measured_time / bound ({ratio!r})"
+        )
+
+
+def _key_mismatch(what: str, data: Any, expected: frozenset) -> str:
+    if not isinstance(data, dict):
+        return f"{what} must be an object, got {type(data).__name__}"
+    missing = sorted(expected - data.keys())
+    unknown = sorted(str(key) for key in data.keys() - expected)
+    return f"{what} keys differ: missing {missing}, unknown {unknown}"

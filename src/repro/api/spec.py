@@ -33,11 +33,13 @@ from ..simulation import RendezvousInstance, SearchInstance
 
 __all__ = [
     "SCHEMA_VERSION",
+    "canonical_dumps",
     "ProblemSpec",
     "SearchProblem",
     "RendezvousProblem",
     "GatheringMember",
     "GatheringProblem",
+    "spec_dict_hash",
     "spec_from_dict",
     "spec_from_json",
     "spec_kinds",
@@ -129,7 +131,7 @@ class ProblemSpec:
 
     def canonical_json(self) -> str:
         """Minimal-whitespace, key-sorted JSON: the hashing pre-image."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return canonical_dumps(self.to_dict())
 
     def canonical_hash(self) -> str:
         """SHA-256 hex digest of the canonical JSON form.
@@ -138,7 +140,7 @@ class ProblemSpec:
         ``from_dict``, int-vs-float spellings), which makes the hash usable
         as a result-cache key and as provenance.
         """
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return spec_dict_hash(self.to_dict())
 
     @staticmethod
     def seed_from_hash(canonical_hash: str) -> int:
@@ -516,6 +518,23 @@ class GatheringProblem(ProblemSpec):
 def spec_kinds() -> list[str]:
     """Sorted list of registered, directly solvable spec kinds."""
     return sorted(kind for kind in _SPEC_KINDS if kind != "gathering-member")
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"),
+#: allow_nan=False)`` -- the canonical encoding of spec hashes,
+#: fingerprint blobs and wire lines -- without building an encoder per
+#: call.
+canonical_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+def spec_dict_hash(data: Mapping[str, Any]) -> str:
+    """:meth:`ProblemSpec.canonical_hash` of a spec's wire dict, without parsing it.
+
+    Equal to the spec's own hash exactly when ``data`` is that spec's
+    :meth:`~ProblemSpec.to_dict` (after any JSON round trip), so a
+    relay can check an envelope's spec against the hash it routed.
+    """
+    return hashlib.sha256(canonical_dumps(data).encode("utf-8")).hexdigest()
 
 
 def spec_from_dict(data: Mapping[str, Any]) -> ProblemSpec:

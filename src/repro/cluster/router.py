@@ -20,7 +20,11 @@ plain proxying:
   re-routed solve is safe because the backends are deterministic:
   any worker produces the bit-identical envelope;
 * **partitioned sweeps** -- the ``sweep`` and ``subscribe`` verbs ship
-  one spec partition per shard and interleave the shard streams back;
+  one spec partition per shard and interleave the shard streams back,
+  relaying each worker record instead of rebuilding it: the record is
+  validated and its fingerprint blob built from the decoded dict, and
+  its ``result`` envelope reaches the client as the worker's own bytes
+  (only ``seq``, ``id`` and ``shard`` are rewritten);
 * **shard metrics** -- per-shard forwarded/failure/degraded and sweep
   counters (the ``metrics`` verb) and per-worker health probes (the
   ``health`` and ``cluster-status`` verbs).
@@ -57,11 +61,15 @@ from ..service.protocol import (
     SUBSCRIBE_OP,
     SUMMARY_OP,
     SWEEP_OP,
+    check_completion,
+    decode_completion,
     error_response,
     hello_response,
     normalize_request,
     parse_subscribe,
     parse_sweep,
+    rejected_completion,
+    restamp_completion,
     subscribe_ack,
     subscribe_summary,
     sweep_ack,
@@ -267,13 +275,20 @@ class _ShardCounters:
 class _SweepState:
     """Shared accounting of one partitioned sweep across shard threads.
 
-    Every shard stream funnels through here: records get their global
-    ``seq`` and the client's ``id`` stamped under one lock (so the wire
-    order matches the sequence numbers), a completed-spec-hash set
-    guards against duplicate records when a failover races a late
-    delivery, and per-shard counters accumulate for the summary's
-    partition table.  Emission happens under the lock too -- a slow
-    client backpressures every shard reader, which is exactly the
+    Every shard stream funnels through here.  A worker record is relayed,
+    not rebuilt: it is validated (:func:`~repro.service.protocol.
+    check_completion`) and its fingerprint blob built from the decoded
+    envelope dict, and its ``result`` stays the worker's pre-encoded
+    bytes.  A record that fails validation is replaced by a typed
+    ``ok: false`` record for its spec and counted in ``errors``, so the
+    client gets one line per spec either way and no malformed envelope
+    reaches it as an ok record.  Records then get their global ``seq``
+    and the client's ``id`` stamped under one lock (so the wire order
+    matches the sequence numbers), a completed-spec-hash set guards
+    against duplicate records when a failover races a late delivery,
+    and per-shard counters accumulate for the summary's partition
+    table.  Emission happens under the lock too -- a slow client
+    backpressures every shard reader, which is exactly the
     bounded-memory contract of the subscription bridge.  Sweep records
     also name their ``shard``; subscribe records keep the single-daemon
     shape.
@@ -291,7 +306,8 @@ class _SweepState:
         self.seq = 0
         self.errors = 0
         self.tiers: dict[str, int] = {}
-        self.results: list[Any] = []
+        #: Fingerprint blobs of the ok records, for the summary digest.
+        self.blobs: list[str] = []
         #: Fold-mode partial records in arrival order: (worker_id, order, record).
         self.partials: list[tuple[Any, int, dict[str, Any]]] = []
         self.completed: set[str] = set()
@@ -318,35 +334,40 @@ class _SweepState:
         with self.lock:
             return [pair for pair in pairs if pair[1] not in self.completed]
 
-    def on_completion(self, worker_id: Any, record: dict[str, Any]) -> None:
-        """Re-sequence and forward one worker completion record."""
-        from ..api.result import SolveResult
+    def on_completion(self, worker_id: Any, record: dict[str, Any], spec_hash: str) -> None:
+        """Validate, re-sequence and forward one worker record of ``spec_hash``."""
+        from ..experiments.manifest import envelope_blob
 
+        try:
+            envelope = check_completion(record, spec_hash)
+            blob = None if envelope is None else envelope_blob(envelope)
+        except (ReproError, ValueError) as error:  # ValueError: NaN in the envelope
+            record = rejected_completion(
+                record,
+                ClusterError(f"worker {worker_id} streamed a malformed record: {error}"),
+            )
+            blob = None
         with self.lock:
-            key = record.get("key") or {}
-            spec_hash = key.get("spec_hash")
             if spec_hash in self.completed:
                 return  # a failover raced a late delivery: keep the first
-            if isinstance(spec_hash, str):
-                self.completed.add(spec_hash)
-            record = dict(record)
-            record["seq"] = self.seq
+            self.completed.add(spec_hash)
+            restamp_completion(
+                record,
+                self.seq,
+                self.request_id,
+                worker_id if self.stamp_shard else None,
+            )
             self.seq += 1
-            if self.stamp_shard:
-                record["shard"] = worker_id
-            record.pop("id", None)
-            if self.request_id is not None:
-                record["id"] = self.request_id
-            tier = record.get("served_by", "?")
+            tier = record["served_by"]
             self.tiers[tier] = self.tiers.get(tier, 0) + 1
             stats = self._shard(worker_id)
             stats["completed"] += 1
-            failed = not (record.get("ok") and isinstance(record.get("result"), dict))
+            failed = blob is None
             if failed:
                 self.errors += 1
                 stats["failed"] += 1
             else:
-                self.results.append(SolveResult.from_dict(record["result"]))
+                self.blobs.append(blob)
             self.bridge.put(record)
         self.router._record_sweep(worker_id, completed=1, failed=1 if failed else 0)
 
@@ -839,6 +860,7 @@ class AsyncShardRouter(AsyncLineServer):
             self._report_failure(handle, generation)
             return state.unfinished(pairs)
         partition_hashes = [spec_hash for _, spec_hash in pairs]
+        routed = set(partition_hashes)
         try:
             with conn:
                 conn.settimeout(self.worker_timeout)
@@ -864,14 +886,23 @@ class AsyncShardRouter(AsyncLineServer):
                         raise _WorkerDied(
                             f"worker {worker_id} closed its stream mid-partition"
                         )
-                    record = json.loads(raw.decode("utf-8"))
+                    record = decode_completion(raw)
                     if not isinstance(record, dict):
                         raise _WorkerDied(
                             f"worker {worker_id} streamed a non-object record"
                         )
                     op = record.get("op")
                     if op == COMPLETION_OP:
-                        state.on_completion(worker_id, record)
+                        key = record.get("key")
+                        spec_hash = key.get("spec_hash") if isinstance(key, dict) else None
+                        if spec_hash not in routed or key.get("backend") != effective:
+                            # Not attributable to a spec of this partition:
+                            # the stream itself is corrupt.
+                            raise _WorkerDied(
+                                f"worker {worker_id} streamed a record for a spec "
+                                f"it was not routed: {key!r}"
+                            )
+                        state.on_completion(worker_id, record, spec_hash)
                     elif op == PARTIAL_OP and record.get("ok"):
                         state.on_partial(worker_id, record, partition_hashes)
                     elif op == SUMMARY_OP:
@@ -910,7 +941,7 @@ class AsyncShardRouter(AsyncLineServer):
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
         from ..analysis.streaming import EnvelopeAggregate
-        from ..experiments.manifest import digest_blob_hashes, fingerprint_digest
+        from ..experiments.manifest import digest_blob_hashes, digest_blobs
 
         op, partitions, effective, request_id, total, unique, mode = job
         started = time.perf_counter()
@@ -998,7 +1029,7 @@ class AsyncShardRouter(AsyncLineServer):
                     errors=state.errors,
                     total=total,
                     unique=unique,
-                    fingerprint_digest=fingerprint_digest(state.results),
+                    fingerprint_digest=digest_blobs(state.blobs),
                     sources=state.tiers,
                     wall_time_ms=wall_time_ms,
                 )
@@ -1031,7 +1062,7 @@ class AsyncShardRouter(AsyncLineServer):
             )
             digests = {"fold_digest": digest_blob_hashes(blob_hashes)}
         else:
-            digests = {"fingerprint_digest": fingerprint_digest(state.results)}
+            digests = {"fingerprint_digest": digest_blobs(state.blobs)}
         bridge.put(
             sweep_summary(
                 request_id,

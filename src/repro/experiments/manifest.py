@@ -24,14 +24,17 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .._version import __version__
 from ..api.result import SolveResult
-from ..api.spec import ProblemSpec
+from ..api.spec import ProblemSpec, canonical_dumps
 from ..api.store import ResultStore
 
 __all__ = [
+    "blob_hash",
+    "digest_blobs",
+    "envelope_blob",
     "fingerprint_digest",
     "fingerprint_blob_hash",
     "digest_blob_hashes",
@@ -45,17 +48,41 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
+def envelope_blob(envelope: Mapping[str, Any]) -> str:
+    """The fingerprint blob of one wire envelope (:meth:`SolveResult.to_dict`).
+
+    The single blob builder: the object path below and every stream that
+    already holds an envelope dict (the worker's records, the router's
+    relayed records) hash the same bytes.  ``provenance.wall_time`` and
+    ``provenance.from_store`` are neutralised exactly as
+    :meth:`SolveResult.fingerprint` does; the caller's dict is not
+    modified.
+    """
+    data = dict(envelope)
+    provenance = dict(data["provenance"])
+    provenance["wall_time"] = 0.0
+    provenance["from_store"] = False
+    data["provenance"] = provenance
+    return canonical_dumps(data)
+
+
 def _fingerprint_blob(result: SolveResult) -> str:
-    return json.dumps(result.fingerprint(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """The fingerprint blob of one result object."""
+    return envelope_blob(result.to_dict())
 
 
-def _digest_blobs(blobs: Iterable[str]) -> str:
+def digest_blobs(blobs: Iterable[str]) -> str:
     """SHA-256 over the sorted, deduplicated fingerprint blobs."""
     digest = hashlib.sha256()
     for blob in sorted(set(blobs)):
         digest.update(blob.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def blob_hash(blob: str) -> str:
+    """SHA-256 hex of one fingerprint blob."""
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def fingerprint_digest(results: Iterable[SolveResult]) -> str:
@@ -66,7 +93,7 @@ def fingerprint_digest(results: Iterable[SolveResult]) -> str:
     (fingerprints neutralise wall time and store provenance; duplicate
     envelopes collapse before hashing).
     """
-    return _digest_blobs(_fingerprint_blob(result) for result in results)
+    return digest_blobs(_fingerprint_blob(result) for result in results)
 
 
 def fingerprint_blob_hash(result: SolveResult) -> str:
@@ -76,7 +103,7 @@ def fingerprint_blob_hash(result: SolveResult) -> str:
     these instead of results, an order-of-magnitude byte saving while
     still letting the coordinator prove set equality end to end.
     """
-    return hashlib.sha256(_fingerprint_blob(result).encode("utf-8")).hexdigest()
+    return blob_hash(_fingerprint_blob(result))
 
 
 def digest_blob_hashes(hashes: Iterable[str]) -> str:
@@ -146,7 +173,7 @@ class ExperimentRecorder:
         """Order-independent digest of every observed result (None when idle)."""
         if not self._blobs:
             return None
-        return _digest_blobs(self._blobs)
+        return digest_blobs(self._blobs)
 
 
 class RunManifest:

@@ -23,18 +23,21 @@ solver daemon (:class:`AsyncReproServer`) and the cluster front
   with a clean ``ok: false`` shutting-down refusal, wind down
   subscriptions, drain the service, audit for leaked tasks.
 
-On top of it, the ``subscribe`` verb streams a whole sweep over one
-connection: the spec suite is planned once, executed through the
-runner's completion-order stream (:meth:`~repro.api.batch.BatchRunner.
-execute_iter`) on a dedicated producer thread, and every completion is
-bridged into the event loop via ``loop.call_soon_threadsafe`` feeding a
-per-subscription :class:`asyncio.Queue`.  The bridge is **bounded** by a
-credit semaphore: when a subscriber stops reading, at most
-``subscription_queue_max`` records buffer server-side and the producer
-blocks -- throttling only that subscription's own solve stream.  A
-subscriber that disconnects mid-stream flips the bridge to discard
-mode: the producer keeps draining the executor (so the LRU and the
-persistent store still receive every fresh result) and throws the
+On top of it, the ``subscribe`` and ``sweep`` verbs stream a whole
+suite over one connection: the spec suite is planned once, executed
+through the runner's completion-order stream
+(:meth:`~repro.api.batch.BatchRunner.execute_iter`) on a dedicated
+producer thread, and the completions cross into the event loop through
+a per-subscription :class:`_SubscriptionBridge` **in batches**: the
+producer wakes the loop only when the consumer is parked, and the
+consumer takes every buffered record per wake-up and writes them with
+one ``writer.write`` + ``drain()``.  The bridge is **bounded**: when a
+subscriber stops reading, at most ``subscription_queue_max`` records
+buffer server-side (plus the one batch in the transport buffer) and the
+producer blocks -- throttling only that subscription's own solve
+stream.  A subscriber that disconnects mid-stream flips the bridge to
+discard mode: the producer keeps draining the executor (so the LRU and
+the persistent store still receive every fresh result) and throws the
 records away.
 """
 
@@ -75,6 +78,7 @@ from .protocol import (
     encode_response,
     error_response,
     handle_request,
+    materialize_fragments,
     normalize_request,
     parse_subscribe,
     parse_sweep,
@@ -121,7 +125,7 @@ class TransportMetrics:
             counters["bytes_out"] += bytes_out
 
     def record_stream(self, fmt: str, bytes_out: int) -> None:
-        """Count bytes of one streamed record (not an individual request).
+        """Count bytes of streamed records (not individual requests).
 
         A subscription is one request (counted at its ack) followed by
         many pushed records; counting each record as a request would make
@@ -171,22 +175,32 @@ def _shutting_down_response(line: str) -> dict[str, Any]:
     return _refusal(op, request_id)
 
 
-class _SubscriptionBridge:
-    """Thread-to-loop conduit with a hard bound on buffered records.
+def _wake(waiter: "asyncio.Future[None]") -> None:
+    if not waiter.done():
+        waiter.set_result(None)
 
-    The producer thread acquires one credit per record before handing it
-    to the loop (``call_soon_threadsafe`` -> ``Queue.put_nowait``); the
-    loop-side consumer releases the credit after dequeueing.  The queue
-    therefore never holds more than ``maxsize`` records (plus the
-    terminating sentinel), no matter how far the solver runs ahead of a
-    slow subscriber -- the memory bound the backpressure tests pin down.
+
+class _SubscriptionBridge:
+    """Thread-to-loop conduit that hands records over in batches.
+
+    The producer thread appends records to a buffer of at most
+    ``maxsize`` and blocks while it is full; it schedules a loop
+    wake-up (``call_soon_threadsafe``) only when the loop-side consumer
+    is parked waiting, so a burst of records costs one wake-up, not one
+    each.  The consumer takes every buffered record per wake-up
+    (:meth:`get_batch`).  The buffer never holds more than ``maxsize``
+    records (plus the terminating sentinel), no matter how far the
+    solver runs ahead of a slow subscriber -- the memory bound the
+    backpressure tests pin down.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, maxsize: int) -> None:
         self.maxsize = maxsize
         self._loop = loop
-        self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        self._credits = threading.Semaphore(maxsize)
+        self._lock = threading.Lock()
+        self._space = threading.Condition(self._lock)
+        self._buffer: list[Any] = []
+        self._waiter: Optional["asyncio.Future[None]"] = None
         self._cancelled = threading.Event()
 
     @property
@@ -195,53 +209,81 @@ class _SubscriptionBridge:
 
     @property
     def depth(self) -> int:
-        """Records currently buffered loop-side (<= maxsize + sentinel)."""
-        return self._queue.qsize()
+        """Records currently buffered (<= maxsize + sentinel)."""
+        with self._lock:
+            return len(self._buffer)
 
-    def put(self, record: Any) -> bool:
-        """Deliver one record from the producer thread (blocking on credits).
+    @property
+    def parked(self) -> bool:
+        """True while the consumer waits for the next record."""
+        with self._lock:
+            return self._waiter is not None
 
-        Returns False when the consumer is gone -- the record is
-        discarded, and the caller is expected to keep iterating so the
-        execution stream (and with it the store) still drains fully.
-        """
-        while not self._credits.acquire(timeout=0.1):
-            if self._cancelled.is_set():
-                return False
-        if self._cancelled.is_set():
-            return False
+    def _append(self, item: Any) -> bool:  # holding the lock
+        self._buffer.append(item)
+        waiter, self._waiter = self._waiter, None
+        if waiter is None:
+            return True
         try:
-            self._loop.call_soon_threadsafe(self._queue.put_nowait, record)
+            self._loop.call_soon_threadsafe(_wake, waiter)
         except RuntimeError:  # loop closed mid-stream (server teardown)
             self._cancelled.set()
             return False
         return True
 
-    def finish(self) -> None:
-        """Queue the terminating sentinel (bypasses the credit bound)."""
-        try:
-            self._loop.call_soon_threadsafe(self._queue.put_nowait, _DONE)
-        except RuntimeError:  # pragma: no cover - loop closed at teardown
-            pass
+    def put(self, record: Any) -> bool:
+        """Deliver one record from the producer thread (blocking while full).
 
-    async def get(self) -> Any:
-        record = await self._queue.get()
-        if record is not _DONE:
-            self._credits.release()
-        return record
+        Returns False when the consumer is gone -- the record is
+        discarded, and the caller is expected to keep iterating so the
+        execution stream (and with it the store) still drains fully.
+        """
+        with self._lock:
+            while len(self._buffer) >= self.maxsize and not self._cancelled.is_set():
+                self._space.wait(timeout=0.1)
+            if self._cancelled.is_set():
+                return False
+            return self._append(record)
+
+    def finish(self) -> None:
+        """Queue the terminating sentinel (bypasses the bound)."""
+        with self._lock:
+            self._append(_DONE)
+
+    async def get_batch(self) -> list[Any]:
+        """Every buffered record, in order; parks while there is none.
+
+        The sentinel, once queued, is the last item of the final batch.
+        """
+        while True:
+            with self._lock:
+                if self._buffer:
+                    batch, self._buffer = self._buffer, []
+                    self._space.notify_all()
+                    return batch
+                waiter = self._waiter = self._loop.create_future()
+            try:
+                await waiter
+            finally:
+                with self._lock:
+                    if self._waiter is waiter:
+                        self._waiter = None
 
     def cancel(self) -> None:
         """Consumer gone: discard future records, unblock the producer."""
         self._cancelled.set()
+        with self._lock:
+            self._space.notify_all()
 
 
 class _Subscription:
     """One active subscription: its bridge, identity and lifecycle."""
 
-    __slots__ = ("bridge", "request_id", "thread", "done")
+    __slots__ = ("bridge", "op", "request_id", "thread", "done")
 
-    def __init__(self, bridge: _SubscriptionBridge, request_id: Any) -> None:
+    def __init__(self, bridge: _SubscriptionBridge, op: str, request_id: Any) -> None:
         self.bridge = bridge
+        self.op = op
         self.request_id = request_id
         self.thread: Optional[threading.Thread] = None
         self.done = threading.Event()
@@ -505,6 +547,11 @@ class AsyncLineServer:
             pass
         finally:
             self._conn_tasks.discard(task)
+            # FIN before close: closing a socket that still holds unread
+            # request bytes (a line sent while a stop cancels this task)
+            # resets the connection, and the client would lose the EOF.
+            with contextlib.suppress(Exception):
+                writer.write_eof()
             with contextlib.suppress(Exception):
                 writer.close()
 
@@ -542,15 +589,11 @@ class AsyncLineServer:
         writer: asyncio.StreamWriter,
         response: dict[str, Any],
         bytes_in: int,
-        stream: bool = False,
     ) -> bool:
         encoded = (encode_response(materialize_raw(response)) + "\n").encode("utf-8")
         # Count before the write: a client that has received a response
         # must observe it in a metrics snapshot on another connection.
-        if stream:
-            self.transport.record_stream(FORMAT_JSON, len(encoded))
-        else:
-            self.transport.record_request(FORMAT_JSON, bytes_in, len(encoded))
+        self.transport.record_request(FORMAT_JSON, bytes_in, len(encoded))
         try:
             writer.write(encoded)
             await writer.drain()
@@ -633,17 +676,13 @@ class AsyncLineServer:
         writer: asyncio.StreamWriter,
         response: Any,
         bytes_in: int,
-        stream: bool = False,
     ) -> bool:
         try:
             frame = encode_frame(response)
         except FrameError as error:  # pragma: no cover - responses are JSON-safe
             frame = encode_frame(error_response("?", error))
         # Same ordering as _send_json: count before the write.
-        if stream:
-            self.transport.record_stream(FORMAT_BINARY, len(frame))
-        else:
-            self.transport.record_request(FORMAT_BINARY, bytes_in, len(frame))
+        self.transport.record_request(FORMAT_BINARY, bytes_in, len(frame))
         try:
             writer.write(frame)
             await writer.drain()
@@ -710,11 +749,31 @@ class AsyncLineServer:
         fmt: str,
         response: dict[str, Any],
         bytes_in: int,
-        stream: bool = False,
     ) -> bool:
         if fmt == FORMAT_BINARY:
-            return await self._send_frame(writer, response, bytes_in, stream=stream)
-        return await self._send_json(writer, response, bytes_in, stream=stream)
+            return await self._send_frame(writer, response, bytes_in)
+        return await self._send_json(writer, response, bytes_in)
+
+    async def _send_batch(
+        self, writer: asyncio.StreamWriter, fmt: str, records: list[dict[str, Any]]
+    ) -> bool:
+        """Write streamed records with one ``write`` + ``drain()``."""
+        if fmt == FORMAT_BINARY:
+            encoded = b"".join(
+                encode_frame(materialize_fragments(record)) for record in records
+            )
+        else:
+            encoded = "".join(
+                encode_response(record) + "\n" for record in records
+            ).encode("utf-8")
+        # Same ordering as _send_json: count before the write.
+        self.transport.record_stream(fmt, len(encoded))
+        try:
+            writer.write(encoded)
+            await writer.drain()
+        except (ConnectionError, OSError):
+            return False
+        return True
 
     async def _serve_subscription(
         self,
@@ -740,7 +799,7 @@ class AsyncLineServer:
             if not await self._send(writer, fmt, ack, bytes_in):
                 return False  # client vanished before the ack: nothing started
             bridge = _SubscriptionBridge(self._loop, self.subscription_queue_max)
-            sub = _Subscription(bridge, request_id)
+            sub = _Subscription(bridge, op, request_id)
             with self._subs_lock:
                 self._subs.add(sub)
                 self._sub_counts["opened"] += 1
@@ -757,17 +816,19 @@ class AsyncLineServer:
             self._end()
         alive = True
         try:
-            while True:
-                record = await bridge.get()
-                if record is _DONE:
-                    break
-                if alive and not await self._send(writer, fmt, record, 0, stream=True):
+            done = False
+            while not done:
+                records = await bridge.get_batch()
+                if records[-1] is _DONE:
+                    done = True
+                    records.pop()
+                if alive and records and not await self._send_batch(writer, fmt, records):
                     alive = False
                     bridge.cancel()
                     with self._subs_lock:
                         self._sub_counts["cancelled"] += 1
                 # Keep consuming until the sentinel either way, so the
-                # producer thread can never deadlock on a full queue.
+                # producer thread can never deadlock on a full buffer.
         finally:
             if not bridge.cancelled and not sub.done.is_set():
                 # The consumer task is going away mid-stream (connection
@@ -780,7 +841,7 @@ class AsyncLineServer:
         try:
             self.subscribe_pump(job, sub.bridge)
         except BaseException as error:  # noqa: BLE001 - terminal error record
-            sub.bridge.put(error_response(SUBSCRIBE_OP, error, sub.request_id))
+            sub.bridge.put(error_response(sub.op, error, sub.request_id))
         finally:
             sub.bridge.finish()
             sub.done.set()
@@ -956,9 +1017,10 @@ class AsyncReproServer(AsyncLineServer):
         the ``fold_digest``).
         """
         from ..experiments.manifest import (
+            blob_hash,
             digest_blob_hashes,
-            fingerprint_blob_hash,
-            fingerprint_digest,
+            digest_blobs,
+            envelope_blob,
         )
 
         runner, plan, backend_obj, effective, request_id, mode = job
@@ -966,7 +1028,7 @@ class AsyncReproServer(AsyncLineServer):
         seq = 0
         errors = 0
         sources: dict[str, int] = {}
-        results: list[Any] = []
+        blobs: list[str] = []
         aborted = False
         fold = None
         blob_hashes: list[str] = []
@@ -1000,12 +1062,15 @@ class AsyncReproServer(AsyncLineServer):
                 else:
                     errors += 1
                     self.service.metrics.record_error(effective, completion.latency)
+                # One envelope dict per result: the record (or the fold)
+                # and the fingerprint blob are both built from it.
                 if fold is not None:
                     # Fold mode never ships per-spec records: results
                     # collapse into the aggregate plus one blob hash each.
                     if completion.result is not None:
-                        fold.push(completion.result.to_dict())
-                        blob_hashes.append(fingerprint_blob_hash(completion.result))
+                        envelope = completion.result.to_dict()
+                        fold.push(envelope)
+                        blob_hashes.append(blob_hash(envelope_blob(envelope)))
                     else:
                         failures.append(
                             {
@@ -1015,9 +1080,10 @@ class AsyncReproServer(AsyncLineServer):
                             }
                         )
                     continue
+                record = completion_record(completion, request_id, seq - 1)
                 if completion.result is not None:
-                    results.append(completion.result)
-                bridge.put(completion_record(completion, request_id, seq - 1))
+                    blobs.append(envelope_blob(record["result"]))
+                bridge.put(record)
         finally:
             stream.close()
         if aborted:
@@ -1031,7 +1097,7 @@ class AsyncReproServer(AsyncLineServer):
                     errors=errors,
                     total=plan.total,
                     unique=plan.unique,
-                    fingerprint_digest=fingerprint_digest(results),
+                    fingerprint_digest=digest_blobs(blobs),
                     sources=sources,
                     wall_time_ms=wall_time_ms,
                 )
@@ -1047,7 +1113,7 @@ class AsyncReproServer(AsyncLineServer):
                     mode=mode,
                     tiers=sources,
                     wall_time_ms=wall_time_ms,
-                    fingerprint_digest=fingerprint_digest(results),
+                    fingerprint_digest=digest_blobs(blobs),
                 )
             )
         else:

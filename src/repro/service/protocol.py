@@ -31,14 +31,22 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from ..api.spec import canonical_dumps
 from ..errors import ReproError
 from .frames import FORMAT_JSON, FORMATS, HELLO_OP
 from .service import SolverService
 
 __all__ = [
+    "Fragment",
+    "check_completion",
     "completion_record",
+    "decode_completion",
     "decode_request",
+    "encode_response",
     "error_response",
+    "materialize_fragments",
+    "rejected_completion",
+    "restamp_completion",
     "handle_request",
     "handle_line",
     "hello_response",
@@ -246,9 +254,55 @@ def handle_line(service: SolverService, line: str) -> dict[str, Any]:
     return handle_request(service, data)
 
 
+class Fragment:
+    """A pre-encoded JSON value that :func:`encode_response` splices verbatim.
+
+    The JSON-Lines analogue of :class:`~repro.service.frames.Raw`.
+    ``text`` is the value as :func:`encode_response` encoded it (sorted
+    keys, compact separators), so a line spliced from it is
+    byte-identical to encoding ``value``, its decoded form, afresh.
+    """
+
+    __slots__ = ("text", "value")
+
+    def __init__(self, text: str, value: Any) -> None:
+        self.text = text
+        self.value = value
+
+
 def encode_response(response: dict[str, Any]) -> str:
-    """One response as its wire line (no trailing newline)."""
-    return json.dumps(response, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """One response as its wire line (no trailing newline).
+
+    Top-level :class:`Fragment` values are spliced as their text between
+    the encoded runs of the other members, in sorted key order, so the
+    line is the same as encoding their decoded values.
+    """
+    if Fragment not in map(type, response.values()):
+        return canonical_dumps(response)
+    members: list[str] = []
+    run: dict[str, Any] = {}
+    for key in sorted(response):
+        value = response[key]
+        if type(value) is Fragment:
+            if run:
+                members.append(canonical_dumps(run)[1:-1])
+                run = {}
+            members.append(f"{canonical_dumps(key)}:{value.text}")
+        else:
+            run[key] = value
+    if run:
+        members.append(canonical_dumps(run)[1:-1])
+    return "{" + ",".join(members) + "}"
+
+
+def materialize_fragments(response: dict[str, Any]) -> dict[str, Any]:
+    """A response with top-level :class:`Fragment` values decoded (binary frames)."""
+    if Fragment not in map(type, response.values()):
+        return response
+    return {
+        key: value.value if type(value) is Fragment else value
+        for key, value in response.items()
+    }
 
 
 # -- the subscribe stream ------------------------------------------------------
@@ -380,6 +434,101 @@ def completion_record(completion: Any, request_id: Any, seq: int) -> dict[str, A
     if request_id is not None:
         record["id"] = request_id
     return record
+
+
+# -- relaying a worker's completion records ------------------------------------
+#
+# The cluster front forwards each worker record with only ``seq``, ``id``
+# and ``shard`` rewritten.  The record's ``result`` envelope travels as
+# the worker's own bytes: :func:`completion_record` puts it under
+# ``result``, and :func:`encode_response` sorts that key directly before
+# ``seq``.
+
+_RESULT_MEMBER = b'"result":'
+_SEQ_MEMBER = b',"seq":'
+
+
+def decode_completion(line: bytes) -> Any:
+    """Decode one worker completion line, keeping ``result`` pre-encoded.
+
+    The ``result`` span becomes a :class:`Fragment` (decoded once, for
+    validation); the rest of the record is decoded around it.  A line
+    that does not split that way decodes as plain JSON, and the relay
+    then re-encodes its result.  Raises ``ValueError`` for a line that
+    is not JSON.
+    """
+    start = line.find(_RESULT_MEMBER)
+    end = line.rfind(_SEQ_MEMBER)
+    if 0 < start < end:
+        try:
+            text = line[start + len(_RESULT_MEMBER) : end].decode("utf-8")
+            value = json.loads(text)
+            head = json.loads(line[:start] + _RESULT_MEMBER + b"0" + line[end:])
+        except ValueError:
+            pass
+        else:
+            if isinstance(head, dict):
+                head["result"] = Fragment(text, value)
+                return head
+    return json.loads(line)
+
+
+def check_completion(record: dict[str, Any], spec_hash: str) -> Optional[dict[str, Any]]:
+    """Validate one worker completion record of ``spec_hash``.
+
+    Returns the record's envelope (a dict; None for a failed record)
+    and raises :class:`~repro.errors.ReproError` for a malformed record:
+    ``ok`` not a bool, ``served_by`` not a string, a failed record
+    without an ``error`` string, or an ok record whose ``result`` fails
+    :func:`~repro.api.result.check_envelope`.
+    """
+    from ..api.result import check_envelope
+
+    ok = record.get("ok")
+    if type(ok) is not bool:
+        raise ReproError(f"completion ok flag must be a bool, got {ok!r}")
+    if not isinstance(record.get("served_by"), str):
+        raise ReproError("completion served_by must be a string")
+    if not ok:
+        if not isinstance(record.get("error"), str):
+            raise ReproError("a failed completion must carry an error string")
+        return None
+    envelope = record.get("result")
+    if type(envelope) is Fragment:
+        envelope = envelope.value
+    check_envelope(envelope, spec_hash)
+    return envelope
+
+
+def rejected_completion(record: dict[str, Any], error: BaseException) -> dict[str, Any]:
+    """The failed record that replaces a worker record failing validation."""
+    served_by = record.get("served_by")
+    latency = record.get("latency_ms")
+    return {
+        "ok": False,
+        "op": COMPLETION_OP,
+        "key": record.get("key"),
+        "served_by": served_by if isinstance(served_by, str) else "?",
+        "latency_ms": latency if type(latency) in (int, float) else 0.0,
+        "error": str(error),
+        "error_type": type(error).__name__,
+    }
+
+
+def restamp_completion(
+    record: dict[str, Any], seq: int, request_id: Any, shard: Any = None
+) -> None:
+    """Rewrite a relayed record's ``seq``, ``id`` and ``shard`` in place.
+
+    ``shard`` None leaves the record without one (the single-daemon
+    shape ``subscribe`` keeps).
+    """
+    record["seq"] = seq
+    record.pop("id", None)
+    if request_id is not None:
+        record["id"] = request_id
+    if shard is not None:
+        record["shard"] = shard
 
 
 def subscribe_summary(

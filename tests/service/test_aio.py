@@ -22,7 +22,7 @@ from repro.api.batch import BatchRunner
 from repro.errors import ReproError
 from repro.experiments.manifest import fingerprint_digest
 from repro.service import AsyncReproServer, ServiceClient, request_lines
-from repro.service.aio import _SubscriptionBridge
+from repro.service.aio import _DONE, _SubscriptionBridge
 
 #: The daemon's answers to ``_DETERMINISTIC_LINES``, one per line,
 #: frozen before the thread-per-connection daemon was removed; that
@@ -276,9 +276,11 @@ class TestSubscribe:
 
 class TestBackpressure:
     def test_bridge_bounds_buffered_records_structurally(self):
-        """The credit semaphore caps loop-side buffering at maxsize: a
-        producer running arbitrarily far ahead of a stalled consumer
-        blocks instead of growing server memory."""
+        """The bridge caps buffering at maxsize: a producer running
+        arbitrarily far ahead of a stalled consumer blocks instead of
+        growing server memory, every batch holds at most maxsize records,
+        order is kept across batch boundaries and the sentinel only ever
+        ends the final batch."""
         import asyncio
 
         async def scenario():
@@ -293,19 +295,74 @@ class TestBackpressure:
 
             thread = threading.Thread(target=producer, daemon=True)
             thread.start()
-            # Stall: give the producer ample time to run ahead.
-            await asyncio.sleep(0.3)
-            assert bridge.depth <= 4
-            received = []
+            # Stall until the buffer is full, then give the producer ample
+            # time to run further ahead: it must stay blocked.
+            deadline = loop.time() + 10.0
+            while bridge.depth < 4:
+                assert loop.time() < deadline, "producer never filled the buffer"
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)
+            assert bridge.depth == 4
+            assert thread.is_alive()
+            batches = []
             while True:
-                record = await bridge.get()
-                if not isinstance(record, dict):
+                batch = await bridge.get_batch()
+                batches.append(batch)
+                assert _DONE not in batch[:-1]
+                assert batch and len([item for item in batch if item is not _DONE]) <= 4
+                assert bridge.depth <= 5  # maxsize + the sentinel
+                if batch[-1] is _DONE:
                     break
-                received.append(record["seq"])
-                assert bridge.depth <= 5  # maxsize + in-flight sentinel
             thread.join(timeout=5.0)
+            received = [item["seq"] for batch in batches for item in batch if item is not _DONE]
             assert received == list(range(64))
+            assert len(batches) >= 16  # 64 records, at most 4 per batch
             assert all(produced)
+            assert bridge.depth == 0
+
+        asyncio.run(scenario())
+
+    def test_parked_consumer_gets_one_wakeup_per_burst(self):
+        """While the consumer is parked, a burst of up to maxsize puts
+        schedules exactly one loop wake-up, and the consumer takes the
+        whole burst as one batch; puts while it is not parked schedule
+        none."""
+        import asyncio
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            wakeups = []
+            schedule = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                wakeups.append(callback)
+                return schedule(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            try:
+                bridge = _SubscriptionBridge(loop, maxsize=8)
+                consumer = asyncio.ensure_future(bridge.get_batch())
+                while not bridge.parked:
+                    await asyncio.sleep(0)
+                burst_done = threading.Event()
+
+                def burst():
+                    for i in range(8):
+                        assert bridge.put(i)
+                    burst_done.set()
+
+                threading.Thread(target=burst, daemon=True).start()
+                # Hold the loop until the whole burst is buffered, so the
+                # consumer cannot take part of it early.
+                assert burst_done.wait(5.0)
+                assert await consumer == list(range(8))
+                assert len(wakeups) == 1
+                assert not bridge.parked
+                assert bridge.put(8)  # consumer not parked: no wake-up
+                assert len(wakeups) == 1
+                assert await bridge.get_batch() == [8]
+            finally:
+                del loop.call_soon_threadsafe
 
         asyncio.run(scenario())
 
@@ -316,20 +373,28 @@ class TestBackpressure:
             loop = asyncio.get_running_loop()
             bridge = _SubscriptionBridge(loop, maxsize=2)
             done = threading.Event()
+            results = []
 
             def producer():
                 for i in range(50):
-                    bridge.put({"seq": i})
+                    results.append(bridge.put({"seq": i}))
                 bridge.finish()
                 done.set()
 
             thread = threading.Thread(target=producer, daemon=True)
             thread.start()
-            await asyncio.sleep(0.05)
+            deadline = loop.time() + 10.0
+            while bridge.depth < 2:  # until the producer blocks on the full buffer
+                assert loop.time() < deadline, "producer never filled the buffer"
+                await asyncio.sleep(0.01)
             bridge.cancel()  # consumer gone mid-stream
             # The producer must finish all 50 puts without a consumer.
             assert await loop.run_in_executor(None, done.wait, 5.0)
             thread.join(timeout=5.0)
+            assert results[:2] == [True, True] and not any(results[2:])
+            # The sentinel still arrives, after the records buffered
+            # before the cancel.
+            assert await bridge.get_batch() == [{"seq": 0}, {"seq": 1}, _DONE]
 
         asyncio.run(scenario())
 
