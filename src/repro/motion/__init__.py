@@ -25,6 +25,7 @@ from .trajectory import Trajectory
 from .transform import (
     is_identity_frame,
     lazy_world_trajectory,
+    transform_compiled,
     transform_segment,
     transform_segments,
     transform_trajectory,
@@ -53,6 +54,7 @@ __all__ = [
     "Trajectory",
     "is_identity_frame",
     "lazy_world_trajectory",
+    "transform_compiled",
     "transform_segment",
     "transform_segments",
     "transform_trajectory",

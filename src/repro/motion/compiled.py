@@ -10,11 +10,15 @@ arithmetic.  Three segment kinds exist, mirroring the three motion
 primitives:
 
 * ``KIND_WAIT``   -- anchored at ``(ax, ay)``;
-* ``KIND_LINEAR`` -- start ``(ax, ay)``, constant velocity ``(bx, by)``;
+* ``KIND_LINEAR`` -- start ``(ax, ay)``, constant velocity ``(bx, by)``
+  and end point ``(ex, ey)``;
 * ``KIND_ARC``    -- center ``(ax, ay)``, ``radius``, start angle
-  ``theta0`` and angular rate ``omega`` (``sweep / duration``).
+  ``theta0``, angular rate ``omega`` (``sweep / duration``) and ``sweep``.
 
 All kinds share ``start_times`` (global), ``durations`` and ``speeds``.
+Evaluation reads only the first ten columns; the end point and the sweep
+are what an exact frame map needs (the world velocity and angular rate
+are recomputed from them, :func:`repro.motion.transform.transform_compiled`).
 Positions computed here match the scalar ``segment.position`` closed forms
 to floating-point noise: the compiler stores the same parameters the
 scalar primitives use, it does not resample or approximate.
@@ -48,6 +52,7 @@ __all__ = [
     "KIND_WAIT",
     "KIND_LINEAR",
     "KIND_ARC",
+    "EVAL_FIELDS",
     "FLOAT_FIELDS",
     "CompiledTrajectory",
     "SegmentRows",
@@ -61,11 +66,9 @@ KIND_WAIT: int = 0
 KIND_LINEAR: int = 1
 KIND_ARC: int = 2
 
-#: The float64 arrays of a :class:`CompiledTrajectory`, in the canonical
-#: serialisation order used by the shared-memory arena
-#: (:mod:`repro.simulation.arena`).  ``kinds`` (int8) trails them so every
-#: float view stays 8-byte aligned without per-array padding.
-FLOAT_FIELDS: tuple[str, ...] = (
+#: The float64 columns evaluation reads, in :class:`SegmentRows` table
+#: order.
+EVAL_FIELDS: tuple[str, ...] = (
     "start_times",
     "durations",
     "speeds",
@@ -78,12 +81,19 @@ FLOAT_FIELDS: tuple[str, ...] = (
     "omega",
 )
 
+#: The float64 arrays of a :class:`CompiledTrajectory`, in the canonical
+#: serialisation order used by the shared-memory arena
+#: (:mod:`repro.simulation.arena`): the evaluation columns, then the
+#: linear end point and the arc sweep.  ``kinds`` (int8) trails them so
+#: every float view stays 8-byte aligned without per-array padding.
+FLOAT_FIELDS: tuple[str, ...] = EVAL_FIELDS + ("ex", "ey", "sweep")
+
 
 def packed_chunk_nbytes(n_segments: int) -> int:
     """Bytes one ``n_segments`` chunk occupies in the arena data region.
 
-    Ten float64 arrays, one int8 array, padded up to 8-byte alignment so
-    the next chunk's float views stay aligned.
+    Thirteen float64 arrays, one int8 array, padded up to 8-byte alignment
+    so the next chunk's float views stay aligned.
     """
     raw = 8 * len(FLOAT_FIELDS) * n_segments + n_segments
     return (raw + 7) & ~7
@@ -101,6 +111,8 @@ class CompiledTrajectory:
         ax, ay: anchor point -- wait position, linear start, or arc center.
         bx, by: linear velocity components (zero for waits and arcs).
         radius, theta0, omega: arc parameters (zero for other kinds).
+        ex, ey: linear end point (zero for waits and arcs).
+        sweep: signed arc sweep (zero for other kinds).
     """
 
     kinds: np.ndarray
@@ -114,6 +126,9 @@ class CompiledTrajectory:
     radius: np.ndarray
     theta0: np.ndarray
     omega: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    sweep: np.ndarray
 
     # -- inspection ---------------------------------------------------------
     def __len__(self) -> int:
@@ -140,9 +155,32 @@ class CompiledTrajectory:
         return self.start_times + self.durations
 
     def end_position(self) -> Vec2:
-        """Position at :attr:`t_end` (end of the last segment)."""
-        x, y = self.positions_at(np.array([self.t_end]))
-        return Vec2(float(x[0]), float(y[0]))
+        """End point of the last segment, exactly as its ``segment.end``."""
+        i = len(self) - 1
+        kind = self.kinds[i]
+        if kind == KIND_LINEAR:
+            return Vec2(float(self.ex[i]), float(self.ey[i]))
+        center = Vec2(float(self.ax[i]), float(self.ay[i]))
+        if kind == KIND_ARC:
+            angle = float(self.theta0[i]) + float(self.sweep[i])
+            return center + Vec2.polar(float(self.radius[i]), angle)
+        return center
+
+    def section(self, begin: int, end: int) -> "CompiledTrajectory":
+        """Segments ``begin .. end - 1`` as views of this chunk's arrays."""
+        return CompiledTrajectory(
+            self.kinds[begin:end], *(getattr(self, name)[begin:end] for name in FLOAT_FIELDS)
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["CompiledTrajectory"]) -> "CompiledTrajectory":
+        """The segments of ``parts`` in order, as one chunk."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            np.concatenate([part.kinds for part in parts]),
+            *(np.concatenate([getattr(part, name) for part in parts]) for name in FLOAT_FIELDS),
+        )
 
     # -- evaluation ---------------------------------------------------------
     def segment_indices(self, times: np.ndarray) -> np.ndarray:
@@ -152,7 +190,7 @@ class CompiledTrajectory:
 
     def rows(self, indices: np.ndarray) -> "SegmentRows":
         """The indexed segments' parameters, gathered for evaluation."""
-        table = np.array([getattr(self, name)[indices] for name in FLOAT_FIELDS])
+        table = np.array([getattr(self, name)[indices] for name in EVAL_FIELDS])
         arc = self.kinds[indices] == KIND_ARC
         arcs = np.count_nonzero(arc)
         return SegmentRows(table, None if arcs == 0 else True if arcs == arc.size else arc)
@@ -203,6 +241,9 @@ class CompiledTrajectory:
         radius = np.zeros(n, dtype=float)
         theta0 = np.zeros(n, dtype=float)
         omega = np.zeros(n, dtype=float)
+        ex = np.zeros(n, dtype=float)
+        ey = np.zeros(n, dtype=float)
+        sweep = np.zeros(n, dtype=float)
 
         # Private-slot access instead of the public properties: this loop
         # runs once per segment of every compiled chunk, and the property
@@ -215,9 +256,10 @@ class CompiledTrajectory:
                 kinds[i] = KIND_LINEAR
                 speeds[i] = segment._speed
                 start = segment._start
+                end = segment._end
                 ax[i], ay[i] = start.x, start.y
+                ex[i], ey[i] = end.x, end.y
                 if duration > 0.0:
-                    end = segment._end
                     bx[i] = (end.x - start.x) / duration
                     by[i] = (end.y - start.y) / duration
             elif isinstance(segment, ArcMotion):
@@ -228,6 +270,7 @@ class CompiledTrajectory:
                 ax[i], ay[i] = center.x, center.y
                 radius[i] = segment._radius
                 theta0[i] = segment._start_angle
+                sweep[i] = segment._sweep
                 if duration > 0.0:
                     omega[i] = segment._sweep / duration
             elif isinstance(segment, WaitMotion):
@@ -253,13 +296,16 @@ class CompiledTrajectory:
             radius=radius,
             theta0=theta0,
             omega=omega,
+            ex=ex,
+            ey=ey,
+            sweep=sweep,
         )
 
 
 class SegmentRows:
     """Parameters of selected segments, gathered once for many evaluations.
 
-    ``table`` has one row per field of ``FLOAT_FIELDS`` and one column
+    ``table`` has one row per field of ``EVAL_FIELDS`` and one column
     per selected segment.  ``arcs`` is None when no selected segment is an
     arc, True when all of them are, and the per-column arc mask
     otherwise, so evaluation never re-tests the kinds.  The kernel's
@@ -337,13 +383,13 @@ class SegmentStreamCompiler:
     stops compilation as soon as every instance is resolved.
     """
 
-    __slots__ = ("_source", "_covered", "_exhausted", "_last_end")
+    __slots__ = ("_source", "_covered", "_exhausted", "_last_chunk")
 
     def __init__(self, segments: Iterable[MotionSegment], start_time: float = 0.0) -> None:
         self._source: Iterator[MotionSegment] = iter(segments)
         self._covered = float(start_time)
         self._exhausted = False
-        self._last_end: Optional[Vec2] = None
+        self._last_chunk: Optional[CompiledTrajectory] = None
 
     @property
     def covered(self) -> float:
@@ -357,9 +403,9 @@ class SegmentStreamCompiler:
 
     def final_position(self) -> Vec2:
         """End position of a finite, fully consumed stream."""
-        if self._last_end is None:
+        if self._last_chunk is None:
             raise TrajectoryError("the segment stream produced no segments yet")
-        return self._last_end
+        return self._last_chunk.end_position()
 
     def next_chunk(
         self, max_segments: int = 2048, until_time: Optional[float] = None
@@ -386,7 +432,7 @@ class SegmentStreamCompiler:
                 break
             batch.append(segment)
             self._covered += segment.duration
-            self._last_end = segment.end
         if not batch:
             return None
-        return CompiledTrajectory.from_segments(batch, start_time=start_time)
+        self._last_chunk = CompiledTrajectory.from_segments(batch, start_time=start_time)
+        return self._last_chunk

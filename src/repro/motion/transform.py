@@ -8,17 +8,25 @@ and circles to circles, so a local-frame :class:`LinearMotion`,
 the *same kind* -- the world trajectory stays exactly representable, which
 keeps the whole simulation closed-form.
 
-This module implements that mapping, one segment at a time, so it also
-works for the lazy/unbounded trajectories of Algorithms 4 and 7.
+This module implements that mapping twice, with bit-identical results:
+one segment at a time (:func:`transform_segment`), which also works for
+the lazy/unbounded trajectories of Algorithms 4 and 7, and for compiled
+chunks as whole arrays (:func:`transform_compiled`), which is how the
+vectorized kernel turns the cached local trajectory into the other
+robot's world trajectory.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
-from ..errors import TrajectoryError
+import numpy as np
+
+from ..errors import InvalidParameterError, TrajectoryError
 from ..geometry import ReferenceFrame, Vec2
 from .arc import ArcMotion
+from .compiled import KIND_ARC, KIND_LINEAR, CompiledTrajectory
 from .lazy import LazyTrajectory
 from .linear import LinearMotion
 from .segment import MotionSegment
@@ -27,6 +35,7 @@ from .wait import WaitMotion
 
 __all__ = [
     "is_identity_frame",
+    "transform_compiled",
     "transform_segment",
     "transform_segments",
     "transform_trajectory",
@@ -71,6 +80,93 @@ def _transform_arc(segment: ArcMotion, frame: ReferenceFrame, duration: float) -
     if world_arc.start.distance_to(expected_start) > 1e-6 * max(1.0, radius):
         raise TrajectoryError("arc transform produced an inconsistent start point")
     return world_arc
+
+
+def transform_compiled(
+    local: CompiledTrajectory, frame: ReferenceFrame, start_time: float
+) -> CompiledTrajectory:
+    """Map compiled local segments into the world frame of ``frame``.
+
+    The array form of :func:`transform_segment`: every column equals, bit
+    for bit, what compiling the mapped segments would give
+    (``CompiledTrajectory.from_segments(mapped, start_time)``), because
+    each value is computed by the same IEEE operations in the same order.
+    Points go through ``origin + M p``; durations are scaled by the time
+    unit and accumulated from ``start_time`` one segment at a time; linear
+    velocities and speeds come from the mapped end points (lengths by
+    ``math.hypot``, as ``Vec2.distance_to`` computes them); angular rates
+    come from the mapped sweep.  Columns a kind does not use stay zero.
+    The object path's checks remain: a positive length needs a positive
+    duration, and a mapped arc must start where its start point maps to.
+    """
+    n = len(local)
+    kinds = local.kinds
+    linear = kinds == KIND_LINEAR
+    arc = kinds == KIND_ARC
+    durations = local.durations * frame.time_unit
+    # Sequential accumulation from the chunk start, as the compiler sums
+    # segment durations; start + cumsum(durations) rounds differently.
+    start_times = np.add.accumulate(np.concatenate(([start_time], durations)))[:n]
+    matrix = frame.spatial_map
+    ox, oy = frame.origin.x, frame.origin.y
+
+    def to_world(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return ox + (matrix.a * x + matrix.b * y), oy + (matrix.c * x + matrix.d * y)
+
+    # Anchors (wait position, linear start, arc center) and linear end
+    # points in one pass.
+    x, y = to_world(np.concatenate((local.ax, local.ex)), np.concatenate((local.ay, local.ey)))
+    ax, ay = x[:n], y[:n]
+    ex, ey = np.where(linear, x[n:], 0.0), np.where(linear, y[n:], 0.0)
+    dx, dy = np.where(linear, x[n:] - ax, 0.0), np.where(linear, y[n:] - ay, 0.0)
+    radius = local.radius * frame.distance_unit
+    # The start angle rotates with the frame; a mirrored frame flips both
+    # the start angle and the sweep direction.
+    flip = frame.chirality == -1
+    theta0 = np.where(arc, (-local.theta0 if flip else local.theta0) + frame.orientation, 0.0)
+    sweep = np.where(arc, -local.sweep if flip else local.sweep, 0.0)
+    lengths = np.where(
+        arc,
+        radius * np.abs(sweep),
+        np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, n),
+    )
+    moving = durations > 0.0
+    if not moving.all():
+        stuck = np.flatnonzero(~moving & (lengths > 0.0))
+        if stuck.size:
+            what = "an arc" if kinds[stuck[0]] == KIND_ARC else "a linear motion"
+            raise InvalidParameterError(
+                f"{what} covering a positive distance needs a positive duration"
+            )
+
+    # Defensive check, per arc: the world arc must start where the local
+    # start point maps to (rows of other kinds have radius zero and pass).
+    cos = np.cos(np.concatenate((local.theta0, theta0)))
+    sin = np.sin(np.concatenate((local.theta0, theta0)))
+    start_x, start_y = to_world(local.ax + local.radius * cos[:n], local.ay + local.radius * sin[:n])
+    drift = np.hypot(ax + radius * cos[n:] - start_x, ay + radius * sin[n:] - start_y)
+    if (drift > 1e-6 * np.maximum(1.0, radius)).any():
+        raise TrajectoryError("arc transform produced an inconsistent start point")
+
+    def per_time(values: np.ndarray) -> np.ndarray:
+        return np.divide(values, durations, out=np.zeros(n), where=moving)
+
+    return CompiledTrajectory(
+        kinds,
+        start_times,
+        durations,
+        per_time(lengths),
+        ax,
+        ay,
+        per_time(dx),
+        per_time(dy),
+        radius,
+        theta0,
+        per_time(sweep),
+        ex,
+        ey,
+        sweep,
+    )
 
 
 def is_identity_frame(frame: ReferenceFrame) -> bool:

@@ -1,7 +1,11 @@
 """Cross-process shared-memory arena for compiled trajectories.
 
 The kernel's compiled-chunk cache (:mod:`repro.simulation.kernel`) is
-per-process: an N-worker fleet compiles every trajectory N times.  A
+per-process: an N-worker fleet compiles every trajectory N times.  Its
+chunks hold an algorithm's local trajectory, which serves both robots
+of a solve: the reference robot reads it as is and the other robot maps
+it into its own frame, so an adopted chunk carries every column
+``FLOAT_FIELDS`` lists, the map's end-point and sweep columns included.  A
 :class:`TrajectoryArena` moves the :class:`~repro.motion.compiled.
 CompiledTrajectory` structure-of-arrays into one
 ``multiprocessing.shared_memory`` segment with a content-keyed index, so
@@ -16,9 +20,10 @@ Layout (all little-endian, offsets 8-byte aligned)::
                     digest[16], chunk_index, data_offset, n_segments,
                     flags, final_x, final_y
     data     data_capacity B
-                    per chunk: 10 float64 arrays (start_times,
+                    per chunk: 13 float64 arrays (start_times,
                     durations, speeds, ax, ay, bx, by, radius, theta0,
-                    omega) then int8 kinds, padded to 8 bytes
+                    omega, ex, ey, sweep -- ``FLOAT_FIELDS``) then int8
+                    kinds, padded to 8 bytes
 
 Concurrency model -- **single-writer append, lock-free readers**:
 

@@ -33,7 +33,10 @@ exactly those of a numpy pass per level.
 Chunked compilation keeps memory bounded: ``Search(k)`` emits on the
 order of ``2^{2k}`` segments per round, so the kernel compiles a bounded
 number of segments, resolves every instance it can, drops solved
-instances from the batch and only then compiles further.
+instances from the batch and only then compiles further.  Each
+algorithm's local trajectory is compiled once per process and cached;
+the reference robot reads those chunks as they are, and the other robot
+of a rendezvous gets them mapped into its frame.
 
 The scalar engine remains the reference implementation; the property
 tests in ``tests/properties/test_kernel_parity.py`` assert agreement
@@ -42,6 +45,7 @@ within ``TIME_TOLERANCE`` on random suites.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -52,7 +56,7 @@ import numpy as np
 
 from ..algorithms.base import MobilityAlgorithm
 from ..constants import TIME_TOLERANCE
-from ..errors import InvalidParameterError, TrajectoryError
+from ..errors import InvalidParameterError
 from ..geometry import ORIGIN, Vec2
 from ..motion import (
     KIND_ARC,
@@ -63,7 +67,7 @@ from ..motion import (
     WaitMotion,
 )
 from ..motion.compiled import SegmentRows
-from ..motion.transform import is_identity_frame, transform_segments
+from ..motion.transform import is_identity_frame, transform_compiled, transform_segments
 from ..robots import Robot
 from .events import DetectionEvent, SimulationOutcome
 from .horizon import MIN_WINDOW as _MIN_WINDOW
@@ -87,8 +91,9 @@ _TWO_PI = 2.0 * math.pi
 #: the batch before the per-chunk matrices grow.
 _CACHED_CHUNK_SEGMENTS = 512
 
-#: Cap on the number of segments kept per cached trajectory (the arrays
-#: cost ~90 bytes per segment; the cap bounds each entry at ~25 MB).
+#: Cap on the number of segments kept per cached trajectory (13 float64
+#: columns and one int8 kind cost 105 bytes per segment; the cap bounds
+#: each entry at ~27.5 MB).
 _CACHE_SEGMENT_CAP = 1 << 18
 
 
@@ -127,10 +132,13 @@ def kernel_cache_stats() -> dict:
 
 
 class _CacheEntry:
-    """Compiled prefix of one reference-frame trajectory, shared by key.
+    """Compiled prefix of one algorithm's local trajectory, shared by key.
 
-    The prefix has two backing tiers: this process's ``chunks`` list and,
-    when a :mod:`repro.simulation.arena` is active, the cross-process
+    The local trajectory is the reference robot R's world trajectory, so
+    R reads the chunks as they are; every other robot maps slices of them
+    into its own frame (:meth:`span`).  The prefix has two backing tiers:
+    this process's ``chunks`` list and, when a
+    :mod:`repro.simulation.arena` is active, the cross-process
     shared-memory arena.  Extension checks the arena first (adopting
     zero-copy views another process already compiled), compiles locally
     on a miss, and publishes what it compiled -- so any trajectory is
@@ -144,11 +152,11 @@ class _CacheEntry:
         "algorithm",
         "digest",
         "chunks",
+        "starts",
         "compiler",
         "segment_total",
         "done",
         "stream_done",
-        "final_pos",
         "lock",
     )
 
@@ -156,13 +164,13 @@ class _CacheEntry:
         self.algorithm = algorithm
         self.digest = digest
         self.chunks: list[CompiledTrajectory] = []
+        self.starts: list[int] = []  # index of each chunk's first segment
         self.compiler: Optional[SegmentStreamCompiler] = SegmentStreamCompiler(
             algorithm.segments()
         )
         self.segment_total = 0
         self.done = False  # stream exhausted or cache cap reached
         self.stream_done = False  # the underlying stream is known exhausted
-        self.final_pos: Optional[Vec2] = None
         # Entries are shared across every thread solving the same
         # algorithm (the serving tier does exactly that); the compiler
         # is a stateful stream, so extending the prefix must be
@@ -174,6 +182,11 @@ class _CacheEntry:
             self.done = True
             _count("cache_capped")
 
+    def _append(self, compiled: CompiledTrajectory) -> None:
+        self.chunks.append(compiled)
+        self.starts.append(self.segment_total)
+        self.segment_total += len(compiled)
+
     def _extend(self) -> None:
         """Grow the prefix by one chunk (arena first, then local compile)."""
         from . import arena as _arena
@@ -183,17 +196,14 @@ class _CacheEntry:
         if shared is not None:
             found = shared.get(self.digest, next_index)
             if found is not None:
-                compiled, final, final_pos = found
+                compiled, final, _ = found
                 _count("arena_hits")
                 if compiled is not None:
-                    self.chunks.append(compiled)
-                    self.segment_total += len(compiled)
+                    self._append(compiled)
                     self.compiler = None  # local stream now lags the prefix
                 if final:
                     self.stream_done = True
                     self.done = True
-                    if final_pos is not None:
-                        self.final_pos = Vec2(final_pos[0], final_pos[1])
                 else:
                     self._mark_capped()
                 return
@@ -208,23 +218,17 @@ class _CacheEntry:
         if compiled is None:
             self.stream_done = True
             self.done = True
-            try:
-                self.final_pos = self.compiler.final_position()
-            except (TrajectoryError, InvalidParameterError):
-                self.final_pos = None
-            if self.final_pos is None and self.chunks:
-                self.final_pos = self.chunks[-1].end_position()
             if shared is not None:
                 pos = None
-                if self.final_pos is not None:
-                    pos = (self.final_pos.x, self.final_pos.y)
+                if self.chunks:
+                    end = self.chunks[-1].end_position()
+                    pos = (end.x, end.y)
                 if shared.publish_final(self.digest, next_index, pos):
                     _count("arena_publishes")
                 else:
                     _count("arena_drops")
             return
-        self.chunks.append(compiled)
-        self.segment_total += len(compiled)
+        self._append(compiled)
         _count("local_compiles")
         if shared is not None:
             if shared.publish_chunk(self.digest, next_index, compiled):
@@ -242,9 +246,35 @@ class _CacheEntry:
                 return self.chunks[index]
             return None
 
+    def span(self, first: int, count: int) -> Optional[CompiledTrajectory]:
+        """Local segments ``first .. first + count - 1`` as one chunk.
+
+        Fewer where the stream ends.  None when there are none, or when
+        the segment cap stops the cached prefix short of them --
+        ``stream_done`` tells the two apart, as for :meth:`chunk`.  The
+        span may cross cached chunk boundaries.
+        """
+        end = first + count
+        with self.lock:
+            while self.segment_total < end and not self.done:
+                self._extend()
+            if self.segment_total < end and not self.stream_done:
+                return None
+            end = min(end, self.segment_total)
+            if first >= end:
+                return None
+            index = bisect.bisect_right(self.starts, first) - 1
+            parts = []
+            while index < len(self.chunks) and self.starts[index] < end:
+                offset = self.starts[index]
+                parts.append(self.chunks[index].section(first - offset, end - offset))
+                first = offset + len(self.chunks[index])
+                index += 1
+        return CompiledTrajectory.concat(parts)
+
 
 #: Maximum number of distinct trajectories kept compiled at once.  Each
-#: entry is bounded by _CACHE_SEGMENT_CAP (~25 MB); the LRU bound keeps a
+#: entry is bounded by _CACHE_SEGMENT_CAP (~27.5 MB); the LRU bound keeps a
 #: long-lived process that sweeps many algorithm parameterisations from
 #: growing without limit.
 _CACHE_ENTRY_CAP = 8
@@ -295,17 +325,25 @@ def _cache_entry_for(algorithm: MobilityAlgorithm) -> _CacheEntry:
 class _ChunkSource:
     """Sequential compiled chunks of one robot's world trajectory.
 
-    Identity-frame trajectories (the reference robot R -- identical for
-    every instance of a canonical batch) are served from the module-level
-    compiled-chunk cache, so repeated batches over the same algorithm
-    skip both segment generation and compilation.  Other frames compile
-    on the fly.
+    Every frame reads its algorithm's entry in the module-level
+    compiled-chunk cache, which holds the local trajectory once per
+    process.  The identity frame (the reference robot R, identical for
+    every instance of a canonical batch) takes the cached chunks as they
+    are.  Any other frame maps slices of them into its world frame with
+    Lemma 4's similarity and time dilation
+    (:func:`~repro.motion.transform.transform_compiled`), so no solve
+    regenerates or recompiles segments.  Past the cache's segment cap,
+    both continue through the object path.
     """
 
     __slots__ = (
+        "_algorithm",
+        "_frame",
+        "_mapped",
         "_entry",
         "_compiler",
         "_index",
+        "_rows",
         "_covered",
         "_exhausted",
         "_chunk_segments",
@@ -313,31 +351,23 @@ class _ChunkSource:
         "_last_chunk",
     )
 
-    def __init__(
-        self,
-        algorithm: MobilityAlgorithm,
-        robot: Robot,
-        chunk_segments: int,
-        use_cache: bool = True,
-    ) -> None:
-        self._index = 0
+    def __init__(self, algorithm: MobilityAlgorithm, robot: Robot, chunk_segments: int) -> None:
+        self._algorithm = algorithm
+        self._frame = robot.frame
+        self._mapped = not is_identity_frame(robot.frame)
+        self._entry: Optional[_CacheEntry] = _cache_entry_for(algorithm)
+        self._compiler: Optional[SegmentStreamCompiler] = None
+        self._index = 0  # next cached chunk (identity frame)
+        self._rows = 0  # segments handed out so far
         self._covered = 0.0
         self._exhausted = False
         self._chunk_segments = chunk_segments
         self._last_chunk: Optional[CompiledTrajectory] = None
-        # Uncached streams compile per run, so start small and grow: most
-        # pair simulations meet within a few dozen segments, and eagerly
-        # compiling a full-size chunk of the other robot's trajectory was
-        # the dominant cost of the pair path.
+        # Mapped chunks keep the schedule of a stream compiled per run --
+        # 32 segments, then x4 up to chunk_segments -- because the pair
+        # kernel's windows follow chunk boundaries and its
+        # segments_processed and gap_evaluations are fingerprinted.
         self._next_size = min(32, chunk_segments)
-        if use_cache and is_identity_frame(robot.frame):
-            self._entry = _cache_entry_for(algorithm)
-            self._compiler = None
-        else:
-            self._entry = None
-            self._compiler = SegmentStreamCompiler(
-                transform_segments(algorithm.segments(), robot.frame)
-            )
 
     @property
     def covered(self) -> float:
@@ -345,60 +375,77 @@ class _ChunkSource:
         return self._covered
 
     def final_position(self) -> Vec2:
-        """Final position of an exhausted finite stream."""
-        if self._entry is not None:
-            if self._entry.final_pos is not None:
-                return self._entry.final_pos
-        elif self._compiler is not None:
-            try:
-                return self._compiler.final_position()
-            except (TrajectoryError, InvalidParameterError):
-                pass
-        # A cache-cap continuation that produced no further segments (the
-        # stream ended exactly at the cap) still knows where the last
-        # handed-out chunk stopped.
-        if self._last_chunk is not None:
-            return self._last_chunk.end_position()
-        raise InvalidParameterError("the compiled stream has no final position")
+        """Final position of an exhausted finite stream: its last segment's end."""
+        if self._last_chunk is None:
+            raise InvalidParameterError("the compiled stream has no final position")
+        return self._last_chunk.end_position()
 
     def next_chunk(self, until_time: Optional[float] = None) -> Optional[CompiledTrajectory]:
         """The next chunk in time order, or None once the stream ends.
 
-        ``until_time`` only bounds how far an *uncached* stream compiles
-        ahead; cached streams use fixed chunk boundaries so the cache is
-        batch-independent.
+        ``until_time`` ends a mapped chunk as soon as it covers that
+        time; the identity frame's chunks keep their fixed boundaries so
+        the cache is batch-independent.
         """
         if self._exhausted:
             return None
+        compiled = None
         if self._entry is not None:
-            entry = self._entry
-            compiled = entry.chunk(self._index)
+            if self._mapped:
+                compiled = self._mapped_chunk(until_time)
+            else:
+                compiled = self._entry.chunk(self._index)
+                self._index += 1
             if compiled is None:
-                if entry.stream_done:
+                if self._entry.stream_done:
                     self._exhausted = True
                     return None
-                # Cache cap reached: compile onward without caching, by
-                # regenerating the stream and skipping the cached prefix.
-                skipped = itertools.islice(
-                    entry.algorithm.segments(), entry.segment_total, None
-                )
-                self._entry = None
-                self._compiler = SegmentStreamCompiler(skipped, start_time=self._covered)
-                return self.next_chunk(until_time)
-            self._index += 1
-            self._covered = compiled.t_end
-            self._last_chunk = compiled
-            return compiled
-        compiled = self._compiler.next_chunk(
-            max_segments=self._next_size, until_time=until_time
-        )
-        self._next_size = min(self._next_size * 4, self._chunk_segments)
+                self._continue_uncached()
         if compiled is None:
-            self._exhausted = True
-            return None
+            compiled = self._compiler.next_chunk(
+                max_segments=self._next_size, until_time=until_time if self._mapped else None
+            )
+            self._next_size = min(self._next_size * 4, self._chunk_segments)
+            if compiled is None:
+                self._exhausted = True
+                return None
+        self._rows += len(compiled)
         self._covered = compiled.t_end
         self._last_chunk = compiled
         return compiled
+
+    def _mapped_chunk(self, until_time: Optional[float]) -> Optional[CompiledTrajectory]:
+        """The next cached local segments, mapped into this robot's frame."""
+        local = self._entry.span(self._rows, self._next_size)
+        if local is None:
+            return None
+        self._next_size = min(self._next_size * 4, self._chunk_segments)
+        if until_time is not None:
+            # The stream compiler's cut: stop after the first segment
+            # whose end reaches until_time.
+            ends = np.add.accumulate(
+                np.concatenate(([self._covered], local.durations * self._frame.time_unit))
+            )[1:]
+            count = int(np.searchsorted(ends, until_time, side="left")) + 1
+            if count < len(local):
+                local = local.section(0, count)
+        return transform_compiled(local, self._frame, self._covered)
+
+    def _continue_uncached(self) -> None:
+        """Leave the capped cache: compile the rest of the stream per run.
+
+        The stream is regenerated and the segments already handed out
+        are skipped, so the chunks continue exactly where the cached
+        prefix stopped.  The identity frame keeps the cache's fixed chunk
+        boundaries, so the cap never moves the pair kernel's windows.
+        """
+        if not self._mapped:
+            self._next_size = self._chunk_segments = _CACHED_CHUNK_SEGMENTS
+        skipped = itertools.islice(self._algorithm.segments(), self._rows, None)
+        self._entry = None
+        self._compiler = SegmentStreamCompiler(
+            transform_segments(skipped, self._frame), start_time=self._covered
+        )
 
 
 # -- batched first-crossing primitives -----------------------------------------------
@@ -698,10 +745,10 @@ def simulate_search_batch(
     simulate_search` run per instance, with event times agreeing within
     ``time_tolerance``.
 
-    ``chunk_segments`` only tunes *uncached* (non-reference-attribute)
-    streams: identity-frame trajectories come from the shared compiled
-    cache, whose chunk boundaries are fixed at ``_CACHED_CHUNK_SEGMENTS``
-    so chunks stay reusable across batches.
+    ``chunk_segments`` only tunes the chunk schedule of mapped
+    (non-reference-attribute) streams: identity-frame trajectories take
+    the shared compiled cache's chunks, whose boundaries are fixed at
+    ``_CACHED_CHUNK_SEGMENTS`` so chunks stay reusable across batches.
     """
     instances = list(instances)
     horizons = list(horizons)
@@ -958,7 +1005,7 @@ class _RobotStream:
                 continue
             try:
                 position = self._source.final_position()
-            except (TrajectoryError, InvalidParameterError):
+            except InvalidParameterError:
                 position = self._fallback_start
             parked = WaitMotion(
                 position, max(self._limit - self._source.covered, 0.0) + 1.0

@@ -291,6 +291,14 @@ class TestExportImport:
             store.put_envelope("analytic", {"solved": True})
 
 
+def _write_after_all_opened(directory: str, offset: int, opened) -> None:
+    """One writer process: open the store, wait for every writer, then write."""
+    with ResultStore(directory) as store:
+        opened.wait(timeout=60)
+        for index in range(offset, offset + 4):
+            store.put("analytic", _solved(index))
+
+
 def _worker_write(payload: tuple[str, int]) -> int:
     """One writer process: solve its own slice and record it."""
     directory, offset = payload
@@ -317,8 +325,20 @@ class TestConcurrentWriters:
         workers = 3
         # Every worker writes the SAME slice; determinism makes the
         # duplicates byte-identical, and indexing keeps exactly one.
-        with multiprocessing.Pool(workers) as pool:
-            pool.map(_worker_write, [(str(tmp_path), 0) for _ in range(workers)])
+        # One process per writer, each opening its store before any of
+        # them writes: a store opened after another's flush would index
+        # that segment and skip its own puts.
+        context = multiprocessing.get_context("spawn")
+        opened = context.Barrier(workers)
+        writers = [
+            context.Process(target=_write_after_all_opened, args=(str(tmp_path), 0, opened))
+            for _ in range(workers)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+            assert writer.exitcode == 0
         store = ResultStore(tmp_path)
         stats = store.stats()
         assert stats.unique == 4

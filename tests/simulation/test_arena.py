@@ -25,7 +25,7 @@ import pytest
 
 import repro
 from repro.algorithms import UniversalSearch
-from repro.api import SearchProblem, solve
+from repro.api import RendezvousProblem, SearchProblem, solve
 from repro.motion.compiled import FLOAT_FIELDS, SegmentStreamCompiler
 from repro.simulation import arena as arena_mod
 from repro.simulation.arena import ArenaError, TrajectoryArena, cache_digest
@@ -35,6 +35,20 @@ SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 #: Small enough to compile in one chunk, so the cross-process tests are fast.
 SPEC = SearchProblem(distance=2.0, visibility=0.5)
+
+#: Rendezvous whose other robot's chunks are mapped from the cached
+#: arrays: mirrored with speed != 1, and tau != 1.  Both run the other
+#: robot past a 256-segment cache cap (one 512-segment chunk); the
+#: mirrored one runs the reference robot past it too.
+MIRRORED = RendezvousProblem(
+    distance=2.5, visibility=0.2, speed=0.7, orientation=1.0, chirality=-1
+)
+CLOCK = RendezvousProblem(distance=3.0, visibility=0.15, time_unit=0.5)
+KERNEL_SPECS = [
+    pytest.param(SPEC, id="search"),
+    pytest.param(MIRRORED, id="mirrored"),
+    pytest.param(CLOCK, id="clock"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -152,13 +166,14 @@ class TestArenaSegment:
 
 
 class TestKernelIntegration:
-    def test_kernel_publishes_then_adopts_with_zero_local_compiles(self):
-        baseline = solve(SPEC, backend="vectorized")  # private cache
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_kernel_publishes_then_adopts_with_zero_local_compiles(self, spec):
+        baseline = solve(spec, backend="vectorized")  # private cache
         clear_compiled_cache()
         arena = TrajectoryArena.create()
         arena_mod.activate(arena)
         try:
-            first = solve(SPEC, backend="vectorized")
+            first = solve(spec, backend="vectorized")
             stats = kernel_cache_stats()
             assert stats["arena_attached"]
             assert stats["local_compiles"] > 0
@@ -167,9 +182,10 @@ class TestKernelIntegration:
             assert published > 0
 
             # Drop the private cache; the arena alone must rebuild the
-            # prefix -- zero recompiles, bit-identical answer.
+            # prefix -- zero recompiles, bit-identical answer (a mapped
+            # robot reads the adopted chunks' end-point and sweep columns).
             clear_compiled_cache()
-            second = solve(SPEC, backend="vectorized")
+            second = solve(spec, backend="vectorized")
             stats = kernel_cache_stats()
             assert stats["arena_hits"] > 0
             assert stats["local_compiles"] == 0
@@ -181,13 +197,14 @@ class TestKernelIntegration:
             arena_mod.deactivate()
             arena.destroy()
 
-    def test_arena_failure_degrades_to_the_private_cache(self):
-        baseline = solve(SPEC, backend="vectorized")
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_arena_failure_degrades_to_the_private_cache(self, spec):
+        baseline = solve(spec, backend="vectorized")
         clear_compiled_cache()
         arena = TrajectoryArena.create(slots=1, data_bytes=8)  # everything drops
         arena_mod.activate(arena)
         try:
-            degraded = solve(SPEC, backend="vectorized")
+            degraded = solve(spec, backend="vectorized")
             stats = kernel_cache_stats()
             assert stats["arena_drops"] > 0
             assert degraded.fingerprint() == baseline.fingerprint()
@@ -197,18 +214,37 @@ class TestKernelIntegration:
 
 
 class TestCacheSegmentCap:
-    def test_capped_stream_still_solves_bit_identically(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec, continued_mapped",
+        [
+            # > one 512-segment chunk: the searcher runs past the cap.
+            pytest.param(SearchProblem(distance=5.0, visibility=0.2), {False}, id="search"),
+            pytest.param(MIRRORED, {True, False}, id="mirrored"),
+            pytest.param(CLOCK, {True}, id="clock"),
+        ],
+    )
+    def test_capped_stream_still_solves_bit_identically(self, monkeypatch, spec, continued_mapped):
         from repro.simulation import kernel
 
-        spec = SearchProblem(distance=5.0, visibility=0.2)  # > one 512-segment chunk
         baseline = solve(spec, backend="vectorized")
         assert kernel_cache_stats()["cache_capped"] == 0
 
+        continued = []
+        resume = kernel._ChunkSource._continue_uncached
+
+        def recording(source):
+            continued.append(source._mapped)
+            resume(source)
+
         clear_compiled_cache()
         monkeypatch.setattr(kernel, "_CACHE_SEGMENT_CAP", 256)
+        monkeypatch.setattr(kernel._ChunkSource, "_continue_uncached", recording)
         capped = solve(spec, backend="vectorized")
         stats = kernel_cache_stats()
         assert stats["cache_capped"] > 0
+        # The robots whose streams run past the cap continue uncached
+        # (True for a mapped robot, False for the reference frame).
+        assert set(continued) == continued_mapped
         # The capped prefix stops extending; the continuation path must
         # still produce the exact same answer.
         assert capped.fingerprint() == baseline.fingerprint()
