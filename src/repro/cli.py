@@ -1500,9 +1500,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     namespace = parser.parse_args(argv)
     try:
-        return _COMMANDS[namespace.command](namespace)
+        code = _COMMANDS[namespace.command](namespace)
+        # Flush here so a reader that closed early (``| head``) breaks
+        # the pipe inside this block, not in the interpreter's exit flush.
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Point stdout at devnull so the exit flush of what is still
+        # buffered cannot raise again (the recipe in Python's signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

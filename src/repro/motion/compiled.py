@@ -186,7 +186,7 @@ class CompiledTrajectory:
     def segment_indices(self, times: np.ndarray) -> np.ndarray:
         """Index of the segment active at each global time (clamped)."""
         indices = np.searchsorted(self.start_times, times, side="right") - 1
-        return np.clip(indices, 0, len(self) - 1)
+        return _clip(indices, 0, len(self) - 1)
 
     def rows(self, indices: np.ndarray) -> "SegmentRows":
         """The indexed segments' parameters, gathered for evaluation."""

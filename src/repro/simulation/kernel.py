@@ -30,13 +30,16 @@ numpy and Python's float operations are the same IEEE operations, so the
 visited nodes, the crossing times and the ``gap_evaluations`` counts are
 exactly those of a numpy pass per level.
 
-Chunked compilation keeps memory bounded: ``Search(k)`` emits on the
-order of ``2^{2k}`` segments per round, so the kernel compiles a bounded
-number of segments, resolves every instance it can, drops solved
-instances from the batch and only then compiles further.  Each
-algorithm's local trajectory is compiled once per process and cached;
-the reference robot reads those chunks as they are, and the other robot
-of a rendezvous gets them mapped into its frame.
+Chunked compilation and tiled evaluation keep memory bounded:
+``Search(k)`` emits on the order of ``2^{2k}`` segments per round, so the
+kernel compiles a bounded number of segments, resolves every instance it
+can, drops solved instances from the batch and only then compiles
+further; and a search batch evaluates each chunk in (segments x
+instances) tiles of at most ``_TILE_ELEMENTS`` pairs, dropping the
+instances each tile solves, so its temporaries do not grow with the
+batch.  Each algorithm's local trajectory is compiled once per process
+and cached; the reference robot reads those chunks as they are, and the
+other robot of a rendezvous gets them mapped into its frame.
 
 The scalar engine remains the reference implementation; the property
 tests in ``tests/properties/test_kernel_parity.py`` assert agreement
@@ -729,6 +732,20 @@ def _point_subarc_distances(
     return np.where(rho == 0.0, radius, distance)
 
 
+#: Bound on the (segment, instance) pairs one search tile evaluates.  A
+#: tile's float64 temporaries take a few hundred KB each, so a batch's
+#: evaluation peaks at a few MB whatever its size (tracemalloc: under
+#: 3 MiB at 500 and at 8,192 instances on perfbench's search specs,
+#: against 22 and 358 MiB for whole-chunk passes).  A 512-segment chunk
+#: still runs whole for up to 64 live instances.
+_TILE_ELEMENTS = 1 << 15
+
+#: Segments per tile at the least: wider batches are split into blocks
+#: of at most ``_TILE_ELEMENTS // _TILE_MIN_ROWS`` instances rather than
+#: into ever thinner row slices.
+_TILE_MIN_ROWS = 16
+
+
 def simulate_search_batch(
     algorithm: MobilityAlgorithm,
     instances: Sequence[SearchInstance],
@@ -744,6 +761,18 @@ def simulate_search_batch(
     vary per instance.  Results match :func:`~repro.simulation.engine.
     simulate_search` run per instance, with event times agreeing within
     ``time_tolerance``.
+
+    Each chunk is evaluated in (segments x instances) tiles of at most
+    ``_TILE_ELEMENTS`` pairs.  The live instances are split into blocks
+    of at most ``_TILE_ELEMENTS // _TILE_MIN_ROWS``; a block of ``k``
+    walks the chunk ``_TILE_ELEMENTS // k`` segments at a time, and the
+    instances a tile solves leave the block before its next tile, so
+    memory stays bounded and easy instances stop paying for the rest of
+    the chunk.  Instances whose horizon ended keep their columns until
+    the chunk ends, and tiles visit each instance's segments in time
+    order, so every outcome -- ``segments_processed`` and
+    ``gap_evaluations`` included -- is the one a single pass over the
+    whole chunk gives.
 
     ``chunk_segments`` only tunes the chunk schedule of mapped
     (non-reference-attribute) streams: identity-frame trajectories take
@@ -781,25 +810,37 @@ def simulate_search_batch(
     evaluations = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
 
+    width = max(1, _TILE_ELEMENTS // _TILE_MIN_ROWS)  # instances per block
     while np.any(active):
         horizon_cap = float(limits[active].max())
         chunk = stream.next_chunk(until_time=horizon_cap)
         if chunk is None or chunk.t_begin >= horizon_cap:
             break
-        _process_search_chunk(
-            chunk,
-            np.where(active)[0],
-            target_x,
-            target_y,
-            visibility,
-            limits,
-            times,
-            event_x,
-            event_y,
-            windows,
-            evaluations,
-            time_tolerance,
-        )
+        live = np.flatnonzero(active)
+        for block in range(0, live.size, width):
+            cols = live[block : block + width]
+            begin = 0
+            while cols.size and begin < len(chunk):
+                end = min(len(chunk), begin + max(1, _TILE_ELEMENTS // cols.size))
+                _process_search_chunk(
+                    chunk.section(begin, end),
+                    cols,
+                    target_x,
+                    target_y,
+                    visibility,
+                    limits,
+                    times,
+                    event_x,
+                    event_y,
+                    windows,
+                    evaluations,
+                    time_tolerance,
+                )
+                # Only solved instances leave mid-chunk: horizon-expired
+                # ones keep counting the chunk's valid rows, as they
+                # would in one whole-chunk pass.
+                cols = cols[np.isnan(times[cols])]
+                begin = end
         active &= np.isnan(times)
         # Every later segment starts at or after the chunk end, so
         # instances whose horizon the chunk already reached are final.
@@ -843,7 +884,7 @@ def _process_search_chunk(
     evaluations: np.ndarray,
     time_tolerance: float,
 ) -> None:
-    """Resolve one compiled chunk against the active instance subset."""
+    """Resolve one chunk, or one tile's section of it, against the instances ``sub``."""
     m = len(chunk)
     k = sub.size
     t0 = chunk.start_times

@@ -121,6 +121,36 @@ class TestCommands:
         assert code == 1
         assert "6 comma-separated fields" in capsys.readouterr().err
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        """``repro schedule | head -n 1``: a reader that is already gone
+        ends the command with exit code 1, not a BrokenPipeError trace."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = os.environ.copy()
+        package_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "schedule", "--rounds", "14", "--tau", "0.5"],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert b"Traceback" not in completed.stderr
+
 
 class TestSolveCommand:
     def test_solve_search_flags_json_envelope_round_trips(self, capsys):
