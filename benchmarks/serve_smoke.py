@@ -18,6 +18,10 @@ through concurrent socket clients, and fails (non-zero exit) unless:
 * a third pass through the **binary wire frames** answers every spec
   with the same fingerprints, hits the daemon's hot response cache,
   and is counted under the ``binary`` transport format;
+* that pass is answered entirely in the event loop: the daemon's
+  ``solve_paths`` counters show no request of it reaching the thread
+  pool (a suite larger than the 256-entry hot cache, such as
+  ``search-sweep-large``, runs through the in-loop LRU tier);
 * ``health`` reports a serving daemon;
 * no shared-memory segment is left behind in ``/dev/shm`` afterwards.
 
@@ -94,8 +98,13 @@ def main() -> int:
             thread.join()
 
         # Third pass: same suite over the binary wire frames.  The daemon
-        # already holds every answer hot, so this also exercises the
-        # zero-re-encode response cache under the upgraded framing.
+        # already holds every answer in its hot cache or its runner LRU,
+        # so this also exercises the zero-re-encode response cache under
+        # the upgraded framing, and must never reach the thread pool.
+        (paths_line,) = request_lines(
+            server.host, server.port, [json.dumps({"op": "metrics"})]
+        )
+        paths_before = json.loads(paths_line)["metrics"]["solve_paths"]
         with ServiceClient(server.host, server.port, binary=True) as binary_client:
             if binary_client.format != "binary":
                 with lock:
@@ -161,6 +170,21 @@ def main() -> int:
                 "binary pass over a hot daemon was never answered from the response cache"
             )
 
+    paths_after = metrics["solve_paths"]
+    binary_paths = {
+        path: paths_after[path] - paths_before[path] for path in ("hot", "lru", "pool")
+    }
+    if binary_paths["pool"]:
+        failures.append(
+            f"{binary_paths['pool']} request(s) of the warm binary pass reached the "
+            "thread pool; every one must be answered in the event loop"
+        )
+    if binary_paths["hot"] + binary_paths["lru"] != len(suite):
+        failures.append(
+            f"the event loop answered {binary_paths['hot'] + binary_paths['lru']} "
+            f"of the {len(suite)} warm binary requests"
+        )
+
     transport = metrics.get("transport", {})
     binary_transport = transport.get("binary", {})
     if binary_transport.get("requests", 0) < len(suite):
@@ -197,7 +221,9 @@ def main() -> int:
     )
     print(
         f"serve smoke: binary pass {len(binary_responses)} responses, "
-        f"{binary_transport.get('requests', 0)} counted on the binary transport"
+        f"{binary_transport.get('requests', 0)} counted on the binary transport, "
+        f"answered {binary_paths['hot']} hot + {binary_paths['lru']} LRU in the loop "
+        f"+ {binary_paths['pool']} in the pool"
     )
     if failures:
         for failure in failures:

@@ -75,11 +75,12 @@ class SolverBackend(abc.ABC):
         start = time.perf_counter()  # repro-lint: disable=R001
         fields = self._solve(spec)
         wall_time = time.perf_counter() - start  # repro-lint: disable=R001
+        spec_hash = spec.canonical_hash()
         provenance = Provenance(
             backend=self.name,
             fidelity=self.fidelity,
-            spec_hash=spec.canonical_hash(),
-            seed=spec.seed(),
+            spec_hash=spec_hash,
+            seed=ProblemSpec.seed_from_hash(spec_hash),
             schema_version=SCHEMA_VERSION,
             wall_time=wall_time,
         )

@@ -28,9 +28,12 @@ solves is retained (and flushed to the store) and the failures surface
 together as a :class:`~repro.errors.BatchExecutionError` naming each
 failing spec hash.
 
-The runner is **thread-safe**: the LRU and planning run under an
-internal lock, so one shared runner can serve many request threads (the
-:mod:`repro.service` tier builds on exactly this).
+The runner is **thread-safe**: LRU lookups and store-hit promotions run
+under an internal lock, so one shared runner can serve many request
+threads (the :mod:`repro.service` tier builds on exactly this).  The
+lock is never held across a store read or a solve, and
+:meth:`BatchRunner.cache_peek` looks a key up without waiting for it at
+all, so an event loop can ask the LRU and fall through when it is busy.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .spec import ProblemSpec
 from .store import ResultStore
 from .vectorized import VectorizedBackend
 
-__all__ = ["BatchStats", "BatchRunner", "solve_batch"]
+__all__ = ["BatchStats", "BatchRunner", "RunnerBusy", "solve_batch"]
 
 #: The import-time backend registrations.  A worker process re-imports the
 #: module and sees exactly these; any runtime registration or replacement
@@ -76,6 +79,10 @@ _BUILTIN_FACTORIES = {
 def _pool_safe(backend: str) -> bool:
     """True when ``backend`` resolves identically in a fresh worker."""
     return _BACKEND_REGISTRY.get(backend) is _BUILTIN_FACTORIES.get(backend)
+
+
+class RunnerBusy(Exception):
+    """:meth:`BatchRunner.cache_peek` found the runner lock held elsewhere."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,8 +190,9 @@ class BatchRunner:
         self.executor = executor
         self.flush_store = flush_store
         self._cache: OrderedDict[tuple[str, str], SolveResult] = OrderedDict()
-        # Guards the LRU and planning; execution runs outside it, so
-        # many threads can share one runner and still solve concurrently.
+        # Guards the LRU only: store reads and execution run outside it,
+        # so many threads can share one runner and still plan and solve
+        # concurrently.
         self._lock = threading.RLock()
 
     # -- cache -----------------------------------------------------------------
@@ -195,9 +203,12 @@ class BatchRunner:
 
     @property
     def cache_len(self) -> int:
-        """Number of results currently cached."""
-        with self._lock:
-            return len(self._cache)
+        """Number of results currently cached.
+
+        Read without the runner lock (``len`` of a dict is atomic), so
+        a health probe never waits behind a planner.
+        """
+        return len(self._cache)
 
     def _cache_get(self, key: tuple[str, str]) -> Optional[SolveResult]:
         with self._lock:
@@ -205,6 +216,20 @@ class BatchRunner:
             if result is not None:
                 self._cache.move_to_end(key)
             return result
+
+    def cache_peek(self, key: tuple[str, str]) -> Optional[SolveResult]:
+        """The LRU's result for ``key`` (moved to most recent), never waiting.
+
+        Raises:
+            RunnerBusy: another thread holds the runner lock; the caller
+                answers some other way instead of blocking on it.
+        """
+        if not self._lock.acquire(blocking=False):
+            raise RunnerBusy(key)
+        try:
+            return self._cache_get(key)
+        finally:
+            self._lock.release()
 
     def _cache_put(self, key: tuple[str, str], result: SolveResult) -> None:
         if self.cache_size == 0:
@@ -233,7 +258,10 @@ class BatchRunner:
         Resolves the LRU and store tiers eagerly (store hits are
         promoted into the LRU, exactly as the monolithic ``run`` did)
         and tiers the remaining misses; see
-        :class:`~repro.exec.plan.ExecutionPlan`.
+        :class:`~repro.exec.plan.ExecutionPlan`.  The runner lock is
+        taken per LRU lookup and once for the promotions, never across
+        the store read (the store locks itself, and its published
+        segments are immutable).
         """
         effective = backend if backend is not None else self.backend
         if backend_obj is None:
@@ -245,10 +273,11 @@ class BatchRunner:
             chunksize=self.chunksize,
             pool_safe=_pool_safe,
         )
-        with self._lock:
-            plan = planner.plan(specs, effective, backend_obj=backend_obj)
-            for resolved in plan.stored:
-                self._cache_put(resolved.key, resolved.result)
+        plan = planner.plan(specs, effective, backend_obj=backend_obj)
+        if plan.stored:
+            with self._lock:
+                for resolved in plan.stored:
+                    self._cache_put(resolved.key, resolved.result)
         return plan
 
     # -- execution -------------------------------------------------------------

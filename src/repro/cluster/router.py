@@ -482,7 +482,7 @@ class AsyncShardRouter(AsyncLineServer):
         )
 
     # -- request verbs ---------------------------------------------------------
-    def answer_request(self, data: Any) -> dict[str, Any]:
+    def answer_request(self, data: Any, handoff: Any = None) -> dict[str, Any]:
         if not isinstance(data, dict):
             return error_response(
                 "?", ReproError(f"request must be a JSON object, got {type(data).__name__}")

@@ -9,10 +9,12 @@ tiers (LRU, store) eagerly, so a plan already *contains* those results;
 the remaining tiers name work an :mod:`~repro.exec.executors` strategy
 still has to perform.
 
-Planning is synchronous and touches shared runner state (the LRU order,
-store-hit insertion), so callers that share a runner across threads must
-plan under the runner's lock; execution of the resulting plan is free of
-shared mutable state and can proceed concurrently.
+Planning is synchronous and touches shared runner state only through
+``cache_get`` (the LRU order), so a runner shared across threads makes
+that lookup thread-safe, and promotes store hits into its LRU itself
+(``BatchRunner.plan`` takes its lock for exactly those two).  The store
+read between them needs no runner lock; execution of the resulting plan
+is free of shared mutable state and can proceed concurrently.
 
 This module must stay importable before ``repro.api`` finishes its own
 import (``api.batch`` is rebuilt on top of it), so runtime imports from

@@ -18,8 +18,10 @@ thread-safe :class:`~repro.api.batch.BatchRunner`:
   (length-prefixed, hand-rolled tag codec) that skip JSON on the warm
   path;
 * :mod:`repro.service.aio`      -- :class:`AsyncReproServer`: the
-  ``repro serve`` TCP daemon on one asyncio event loop, both wire
-  formats, plus the ``subscribe`` and ``sweep`` streamed-sweep verbs;
+  ``repro serve`` TCP daemon on one asyncio event loop, which answers
+  solves held in its hot cache or its runner's LRU in the loop itself,
+  both wire formats, plus the ``subscribe`` and ``sweep`` streamed-sweep
+  verbs;
 * :mod:`repro.service.client`   -- :func:`request_lines` (one-shot JSON
   lines) and :class:`ServiceClient`: persistent connections with
   transparent binary negotiation and streamed subscriptions.

@@ -13,8 +13,9 @@ solver daemon (:class:`AsyncReproServer`) and the cluster front
   :mod:`repro.service.protocol`, and the binary frames behind the
   ``hello`` negotiation;
 * per-connection requests answered strictly in order (concurrency
-  comes from concurrent connections), dispatched to a bounded thread
-  pool so the loop never blocks;
+  comes from concurrent connections): in the loop when a subclass's
+  fast path can answer without waiting on anything, on a bounded
+  thread pool otherwise, so the loop never blocks;
 * backpressure-aware writes: every response goes through
   ``writer.drain()``, so a slow reader throttles only its own
   connection's stream, never the loop and never the solver;
@@ -53,6 +54,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
+from ..api.batch import RunnerBusy
+from ..api.spec import spec_from_dict
 from ..errors import ServiceUnavailableError
 from .frames import (
     FORMAT_BINARY,
@@ -82,6 +85,7 @@ from .protocol import (
     normalize_request,
     parse_subscribe,
     parse_sweep,
+    solve_response,
     subscribe_ack,
     subscribe_summary,
     sweep_ack,
@@ -294,9 +298,10 @@ class AsyncLineServer:
 
     Subclasses implement :meth:`answer_request` (blocking, runs on the
     request thread pool), optionally :meth:`answer_fast` (non-blocking
-    in-loop fast path), :meth:`subscribe_open` / :meth:`subscribe_pump`
-    (the streamed-sweep verb) and :meth:`_drain` (what must finish
-    before a stop completes).
+    in-loop fast path, which may hand what it parsed on to
+    :meth:`answer_request` through :attr:`_handoff`),
+    :meth:`subscribe_open` / :meth:`subscribe_pump` (the streamed-sweep
+    verb) and :meth:`_drain` (what must finish before a stop completes).
 
     The listening socket is bound in the constructor -- :attr:`address`
     is valid immediately -- and handed to the event loop when serving
@@ -344,6 +349,10 @@ class AsyncLineServer:
         self._stop_done = threading.Event()
         self._drain_timeout: Optional[float] = 30.0
         self._busy = 0  # loop-confined: in-flight request count
+        #: Loop-confined: what :meth:`answer_fast` parsed from a request
+        #: it fell through on; :meth:`_answer` takes it right after the
+        #: call and passes it to :meth:`answer_request`.
+        self._handoff: Any = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._subs: set[_Subscription] = set()
         self._subs_lock = threading.Lock()
@@ -353,12 +362,21 @@ class AsyncLineServer:
         self.leaked_tasks: list[asyncio.Task] = []
 
     # -- to be provided by subclasses ------------------------------------------
-    def answer_request(self, data: Any) -> dict[str, Any]:
-        """Answer one decoded request (thread pool; must never raise)."""
+    def answer_request(self, data: Any, handoff: Any = None) -> dict[str, Any]:
+        """Answer one decoded request (thread pool; must never raise).
+
+        ``handoff`` is what :meth:`answer_fast` left in :attr:`_handoff`
+        for this request (None when it left nothing).
+        """
         raise NotImplementedError
 
     def answer_fast(self, data: Any, fmt: str) -> Optional[dict[str, Any]]:
-        """Optional in-loop fast path (hot caches); None falls through."""
+        """Optional in-loop fast path; None falls through to the pool.
+
+        Must never wait (no lock that another thread may hold, no I/O).
+        Before falling through it may set :attr:`_handoff` to work it
+        already did, which :meth:`answer_request` then receives.
+        """
         return None
 
     def after_answer(self, data: Any, response: dict[str, Any], fmt: str) -> None:
@@ -568,9 +586,10 @@ class AsyncLineServer:
         fast = self.answer_fast(data, fmt)
         if fast is not None:
             return fast
+        handoff, self._handoff = self._handoff, None
         try:
             response = await self._loop.run_in_executor(
-                self._executor, self.answer_request, data
+                self._executor, self.answer_request, data, handoff
             )
         except RuntimeError as error:  # pool shut down: a stop won the race
             op = data.get("op") if isinstance(data, dict) else None
@@ -865,6 +884,25 @@ class AsyncReproServer(AsyncLineServer):
     frozen golden transcript pins the bytes), speaks the negotiated
     binary frames, and streams the ``subscribe`` and ``sweep`` verbs.
 
+    A solve is answered on one of three paths, counted per daemon under
+    ``solve_paths`` in the ``metrics`` document:
+
+    * ``hot`` -- in the loop, from the hot response cache: the last
+      :attr:`HOT_CACHE_CAP` unique requests, keyed on the request's
+      shape, so nothing is decoded or hashed;
+    * ``lru`` -- in the loop, from the service runner's LRU: the spec is
+      decoded and hashed once and the LRU asked without waiting
+      (:meth:`SolverService.resident`);
+    * ``pool`` -- on the request thread pool, through
+      :func:`~repro.service.protocol.handle_request`, with the spec the
+      loop decoded and its hash handed along.  ``busy`` counts the pool
+      answers whose LRU probe found the runner lock held.
+
+    All three send the same bytes for the same result (``served_by:
+    "cache"`` for both loop paths); only latency differs.  The loop
+    paths never queue for a solve slot, and a draining service always
+    goes to the pool, which refuses.
+
     Args:
         service: the shared :class:`SolverService` (built from
             ``service_kwargs`` when omitted).
@@ -895,6 +933,8 @@ class AsyncReproServer(AsyncLineServer):
         # so no lock.  The raw payload is encoded lazily, on the first
         # binary hit.
         self._hot: "collections.OrderedDict[Any, list]" = collections.OrderedDict()
+        # Where each solve was answered; loop-confined like the hot cache.
+        self._solve_paths = {"hot": 0, "lru": 0, "pool": 0, "busy": 0}
         super().__init__(
             host=host,
             port=port,
@@ -904,8 +944,8 @@ class AsyncReproServer(AsyncLineServer):
         )
 
     # -- request path ----------------------------------------------------------
-    def answer_request(self, data: Any) -> dict[str, Any]:
-        return self._enrich(handle_request(self.service, data))
+    def answer_request(self, data: Any, handoff: Any = None) -> dict[str, Any]:
+        return self._enrich(handle_request(self.service, data, handoff))
 
     def _enrich(self, response: dict[str, Any]) -> dict[str, Any]:
         """Fold transport/kernel/subscription stats into a metrics response."""
@@ -917,23 +957,35 @@ class AsyncReproServer(AsyncLineServer):
                 metrics["transport"] = self.transport.snapshot()
                 metrics["kernel_cache"] = kernel_cache_stats()
                 metrics["subscriptions"] = self.subscription_stats()
+                metrics["solve_paths"] = dict(self._solve_paths)
         return response
 
     def answer_fast(self, data: Any, fmt: str) -> Optional[dict[str, Any]]:
-        """Hot response cache, in-loop: repeat solves skip the thread hop.
+        """Answer a solve in the loop from the hot cache or the runner LRU.
 
-        A repeat would otherwise replay from the runner LRU; both are
-        ``served_by: "cache"`` on the wire, so answering it from the hot
-        cache changes latency, not semantics.
+        Both skip the thread hop and are ``served_by: "cache"`` with the
+        bytes the pool path would send for the same LRU hit, so they
+        change latency, not semantics.  The hot cache is asked first:
+        it answers from the request's shape without decoding or hashing
+        it, and replays pre-encoded binary payloads.  On a hot miss the
+        spec is decoded and hashed once and the service asked for a
+        resident result without waiting; a hit is promoted into the hot
+        cache.  Everything else falls through (None) to the pool: an LRU
+        miss or a busy runner with the decoded spec and its hash in
+        :attr:`_handoff`, a spec that fails to decode without them (the
+        pool decodes it again and answers the error), and any solve
+        while stopping or draining (the pool refuses it).
         """
-        if self._stop_requested or self.service.draining:
-            return None
         key = hot_solve_key(data)
         if key is None:
             return None
+        if self._stop_requested or self.service.draining:
+            self._solve_paths["pool"] += 1
+            return None
         entry = self._hot.get(key)
         if entry is None:
-            return None
+            return self._answer_resident(data, key)
+        self._solve_paths["hot"] += 1
         started = time.perf_counter()
         self._hot.move_to_end(key)
         result_dict, raw, effective = entry
@@ -948,17 +1000,32 @@ class AsyncReproServer(AsyncLineServer):
             result = result_dict
         latency = time.perf_counter() - started
         self.service.metrics.record(effective, "cache", latency)
-        response: dict[str, Any] = {
-            "ok": True,
-            "op": "solve",
-            "result": result,
-            "served_by": "cache",
-            "latency_ms": round(latency * 1e3, 3),
-        }
-        request_id = data.get("id")
-        if request_id is not None:
-            response["id"] = request_id
-        return response
+        return solve_response(result, "cache", latency, data.get("id"))
+
+    def _answer_resident(self, data: Any, hot_key: Any) -> Optional[dict[str, Any]]:
+        """The LRU tier of :meth:`answer_fast`, for a hot-cache miss."""
+        _, request, request_id = normalize_request(data)
+        backend = request.get("backend")
+        try:
+            spec = spec_from_dict(request["spec"])
+            spec_hash = spec.canonical_hash()
+        except Exception:  # noqa: BLE001 - the pool path answers the error
+            self._solve_paths["pool"] += 1
+            return None
+        try:
+            served = self.service.resident(spec_hash, backend)
+        except RunnerBusy:
+            self._solve_paths["busy"] += 1
+            served = None
+        if served is None:
+            self._solve_paths["pool"] += 1
+            self._handoff = (spec, spec_hash)
+            return None
+        self._solve_paths["lru"] += 1
+        result = served.result.to_dict()
+        effective = backend if backend is not None else self.service.backend
+        self._hot_put(hot_key, result, effective)
+        return solve_response(result, served.source, served.latency, request_id)
 
     def after_answer(self, data: Any, response: dict[str, Any], fmt: str) -> None:
         if not (response.get("ok") and response.get("op") == "solve"):
@@ -972,6 +1039,9 @@ class AsyncReproServer(AsyncLineServer):
         effective = (
             data.get("backend") if isinstance(data, dict) else None
         ) or self.service.backend
+        self._hot_put(key, result, effective)
+
+    def _hot_put(self, key: Any, result: dict[str, Any], effective: str) -> None:
         self._hot[key] = [result, None, effective]
         self._hot.move_to_end(key)
         while len(self._hot) > self.HOT_CACHE_CAP:

@@ -47,6 +47,7 @@ __all__ = [
     "materialize_fragments",
     "rejected_completion",
     "restamp_completion",
+    "solve_response",
     "handle_request",
     "handle_line",
     "hello_response",
@@ -130,6 +131,26 @@ def error_response(
 _error_response = error_response
 
 
+def solve_response(
+    result: Any, served_by: str, latency: float, request_id: Any = None
+) -> dict[str, Any]:
+    """The wire shape of an answered solve -- defined exactly once.
+
+    ``result`` is the envelope dict (or the transport's pre-encoded form
+    of it), ``latency`` seconds from arrival to answer.
+    """
+    response: dict[str, Any] = {
+        "ok": True,
+        "op": "solve",
+        "result": result,
+        "served_by": served_by,
+        "latency_ms": round(latency * 1e3, 3),
+    }
+    if request_id is not None:
+        response["id"] = request_id
+    return response
+
+
 def decode_request(line: str) -> tuple[Optional[dict[str, Any]], Optional[dict[str, Any]]]:
     """Decode one request line into an object: ``(data, error_response)``.
 
@@ -188,8 +209,15 @@ def hello_response(data: dict[str, Any], request_id: Any) -> dict[str, Any]:
     return response
 
 
-def handle_request(service: SolverService, data: Any) -> dict[str, Any]:
-    """Answer one decoded request object; never raises."""
+def handle_request(
+    service: SolverService, data: Any, parsed: Optional[tuple[Any, str]] = None
+) -> dict[str, Any]:
+    """Answer one decoded request object; never raises.
+
+    ``parsed`` is a solve request's spec and canonical hash when the
+    caller already decoded and hashed them (the daemon's event loop
+    does), so neither happens twice.
+    """
     if not isinstance(data, dict):
         return _error_response(
             "?", ReproError(f"request must be a JSON object, got {type(data).__name__}")
@@ -197,7 +225,7 @@ def handle_request(service: SolverService, data: Any) -> dict[str, Any]:
     op, data, request_id = normalize_request(data)
     try:
         if op == "solve":
-            return _solve_response(service, data, request_id)
+            return _solve_response(service, data, request_id, parsed)
         if op == "health":
             return {"ok": True, "op": "health", "health": service.health()}
         if op == "metrics":
@@ -222,7 +250,10 @@ def handle_request(service: SolverService, data: Any) -> dict[str, Any]:
 
 
 def _solve_response(
-    service: SolverService, data: dict[str, Any], request_id: Any
+    service: SolverService,
+    data: dict[str, Any],
+    request_id: Any,
+    parsed: Optional[tuple[Any, str]] = None,
 ) -> dict[str, Any]:
     from ..api.spec import spec_from_dict
 
@@ -232,18 +263,9 @@ def _solve_response(
     backend = data.get("backend")
     if backend is not None and not isinstance(backend, str):
         raise ReproError('"backend" must be a string backend name')
-    spec = spec_from_dict(spec_data)
-    served = service.request(spec, backend=backend)
-    response: dict[str, Any] = {
-        "ok": True,
-        "op": "solve",
-        "result": served.result.to_dict(),
-        "served_by": served.source,
-        "latency_ms": round(served.latency * 1e3, 3),
-    }
-    if request_id is not None:
-        response["id"] = request_id
-    return response
+    spec, spec_hash = parsed if parsed is not None else (spec_from_dict(spec_data), None)
+    served = service.request(spec, backend=backend, spec_hash=spec_hash)
+    return solve_response(served.result.to_dict(), served.source, served.latency, request_id)
 
 
 def handle_line(service: SolverService, line: str) -> dict[str, Any]:

@@ -14,6 +14,10 @@ tier).  On top of the runner's caching it adds what a cache cannot do:
   concurrently; up to ``queue_limit`` more may wait for a slot, and
   anything beyond that is refused immediately with
   :class:`~repro.errors.ServiceUnavailableError` instead of piling up.
+* **resident lookups** -- :meth:`SolverService.resident` answers a key
+  the runner's LRU holds without waiting on anything, so the daemon's
+  event loop can serve it in place (a busy runner means "ask
+  :meth:`SolverService.request` instead").
 * **metrics** -- per-backend request counts, hit rates, coalescing and
   latency percentiles (:class:`~repro.service.metrics.ServiceMetrics`).
 * **graceful drain** -- :meth:`drain` stops admitting, waits for every
@@ -173,8 +177,42 @@ class SolverService:
         """Answer one request (blocking); see :meth:`request` for the meta."""
         return self.request(spec, backend=backend).result
 
-    def request(self, spec: ProblemSpec, backend: Optional[str] = None) -> ServedResult:
+    def resident(
+        self, spec_hash: str, backend: Optional[str] = None
+    ) -> Optional[ServedResult]:
+        """Answer from the runner's LRU without ever waiting, or None.
+
+        The in-loop tier of the daemon: a hit is moved to most recent
+        and recorded as a ``cache`` answer, exactly as :meth:`request`
+        would have served it.  None means "not resident" (or draining):
+        the caller hands the request to :meth:`request`.  Never queues
+        for a solve slot.
+
+        Raises:
+            ~repro.api.batch.RunnerBusy: another thread holds the runner
+                lock.
+        """
+        if self._draining:
+            return None
+        effective = backend if backend is not None else self.backend
+        started = time.perf_counter()
+        result = self.runner.cache_peek((effective, spec_hash))
+        if result is None:
+            return None
+        latency = time.perf_counter() - started
+        self.metrics.record(effective, "cache", latency)
+        return ServedResult(result, "cache", latency)
+
+    def request(
+        self,
+        spec: ProblemSpec,
+        backend: Optional[str] = None,
+        spec_hash: Optional[str] = None,
+    ) -> ServedResult:
         """Answer one request, coalescing with any identical in-flight one.
+
+        ``spec_hash`` is the spec's canonical hash when the caller has
+        already computed it.
 
         Raises:
             ServiceUnavailableError: refused by admission control
@@ -184,7 +222,7 @@ class SolverService:
         """
         effective = backend if backend is not None else self.backend
         started = time.perf_counter()
-        key = (effective, spec.canonical_hash())
+        key = (effective, spec_hash if spec_hash is not None else spec.canonical_hash())
 
         with self._lock:
             if self._draining:

@@ -10,6 +10,7 @@ from repro.api import (
     AnalyticBackend,
     GatheringMember,
     GatheringProblem,
+    ProblemSpec,
     RendezvousProblem,
     SearchProblem,
     SimulationBackend,
@@ -198,6 +199,23 @@ class TestResultEnvelope:
         assert result.provenance.spec_hash == SEARCH.canonical_hash()
         assert result.provenance.seed == SEARCH.seed()
         assert result.provenance.wall_time >= 0.0
+
+    @pytest.mark.parametrize("backend_cls", [AnalyticBackend, SimulationBackend])
+    def test_provenance_hashes_the_spec_once(self, backend_cls, monkeypatch):
+        """The seed comes from the hash already computed, not a second one."""
+        calls = []
+        original = ProblemSpec.canonical_hash
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(ProblemSpec, "canonical_hash", counting)
+        result = backend_cls().solve(SEARCH)
+        assert len(calls) == 1
+        assert result.provenance.seed == ProblemSpec.seed_from_hash(
+            result.provenance.spec_hash
+        )
 
     def test_summary_mentions_backend_and_bound(self):
         text = solve(SEARCH, backend="simulation").summary()

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import BatchRunner, RendezvousProblem, SearchProblem, solve, solve_batch
+from repro.api.batch import RunnerBusy
+from repro.api.store import ResultStore
 from repro.errors import InvalidParameterError
+
+#: Upper bound on every wait of the threaded tests: a broken lock scope
+#: fails them in seconds instead of hanging the suite.
+WAIT_S = 10.0
 
 
 def _small_workload():
@@ -128,6 +136,83 @@ class TestCache:
         runner.solve_many([SearchProblem(distance=1.0, visibility=0.2)])
         runner.clear_cache()
         assert runner.cache_len == 0
+
+
+    def test_cache_peek_returns_a_hit_and_refreshes_it(self):
+        runner = BatchRunner(backend="analytic", cache_size=2)
+        a, b, c = (SearchProblem(distance=d, visibility=0.2) for d in (1.0, 2.0, 3.0))
+        (solved_a,) = runner.solve_many([a])
+        runner.solve_many([b])
+        assert runner.cache_peek(("analytic", a.canonical_hash())) is solved_a
+        assert runner.cache_peek(("simulation", a.canonical_hash())) is None
+        runner.solve_many([c])  # evicts b: the peek made a the most recent
+        assert runner.run([a])[1].cache_hits == 1
+        assert runner.run([b])[1].cache_hits == 0
+
+    def test_cache_peek_never_waits_for_the_lock(self):
+        runner = BatchRunner(backend="analytic")
+        spec = SearchProblem(distance=1.0, visibility=0.2)
+        runner.solve_many([spec])
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with runner._lock:
+                held.set()
+                release.wait(WAIT_S)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(WAIT_S)
+            with pytest.raises(RunnerBusy):
+                runner.cache_peek(("analytic", spec.canonical_hash()))
+        finally:
+            release.set()
+            holder.join(WAIT_S)
+        assert runner.cache_peek(("analytic", spec.canonical_hash())) is not None
+
+
+class _ParkedStore(ResultStore):
+    """A store whose read of one spec hash parks until released."""
+
+    def __init__(self, path, park_hash):
+        super().__init__(path)
+        self.park_hash = park_hash
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get_many(self, backend, spec_hashes):
+        spec_hashes = list(spec_hashes)
+        if self.park_hash in spec_hashes:
+            self.entered.set()
+            self.release.wait(WAIT_S)
+        return super().get_many(backend, spec_hashes)
+
+
+class TestLockScope:
+    def test_a_parked_store_read_does_not_stop_an_lru_hit(self, tmp_path):
+        resident = SearchProblem(distance=1.0, visibility=0.2)
+        parked = SearchProblem(distance=2.0, visibility=0.2)
+        store = _ParkedStore(tmp_path, park_hash=parked.canonical_hash())
+        runner = BatchRunner(backend="analytic", store=store)
+        runner.solve_many([resident])
+        planner = threading.Thread(target=runner.solve_many, args=([parked],))
+        planner.start()
+        try:
+            assert store.entered.wait(WAIT_S)
+            key = ("analytic", resident.canonical_hash())
+            assert runner.cache_peek(key) is not None
+            answered = []
+            hit = threading.Thread(target=lambda: answered.append(runner.run([resident])))
+            hit.start()
+            hit.join(WAIT_S)
+            assert not hit.is_alive() and answered[0][1].cache_hits == 1
+            assert planner.is_alive()  # still parked in the store read
+        finally:
+            store.release.set()
+            planner.join(WAIT_S)
+        assert not planner.is_alive()
+        assert runner.cache_len == 2
 
 
 class TestStoreTier:
