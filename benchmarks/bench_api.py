@@ -36,9 +36,8 @@ the other benchmark artefacts so future PRs can track the trajectory:
   duplicate-heavy workload against ``repro serve --workers N`` for
   N in {1, 2, 4} (plus the single-process daemon as the no-router
   baseline), reporting requests/s, p50/p99 latency, the shard spread,
-  a fingerprint-parity assertion against direct ``solve()`` for every
-  fleet size, and the shared-arena proof that each unique trajectory
-  was compiled exactly once fleet-wide;
+  and a fingerprint-parity assertion against direct ``solve()`` for
+  every fleet size;
 * ``BENCH_async.json``  -- the asyncio-transport snapshot: warm-hit
   round trips over {8, 64, 256, 512} persistent connections against
   the daemon, with its measured thread-per-connection cost and the
@@ -628,13 +627,6 @@ def _cluster_round(specs: list, workers: int, store_dir: Path, backend: str) -> 
     record["worker_restarts"] = metrics["cluster"]["worker_restarts"]
     record["shard_spread"] = [row["forwarded"] for row in metrics["shards"]]
     record["worker_links"] = "binary"  # router->worker frames negotiate up
-    arena = metrics.get("arena")
-    if arena is not None:
-        record["arena"] = {
-            "published_chunks": arena["published_chunks"],
-            "unique_trajectories": arena["unique_trajectories"],
-            "data_used": arena["data_used"],
-        }
     kernel = [
         row["metrics"].get("kernel_cache")
         for row in metrics["shards"]
@@ -642,58 +634,7 @@ def _cluster_round(specs: list, workers: int, store_dir: Path, backend: str) -> 
     ]
     if all(stats is not None for stats in kernel):
         record["worker_local_compiles"] = [stats["local_compiles"] for stats in kernel]
-        record["worker_arena_hits"] = [stats["arena_hits"] for stats in kernel]
     return record, metrics, first_seen
-
-
-def _cluster_compile_once_round(suite: list) -> dict:
-    """Prove each unique trajectory compiles exactly once fleet-wide.
-
-    A 2-worker vectorized cluster: the deepest spec goes through first
-    on its own (its home worker compiles the whole shared prefix into
-    the arena), then the full suite fans out over both shards.  If the
-    arena works, the other worker adopts every chunk -- the sum of the
-    workers' local compiles equals the chunks published in the arena.
-    """
-    import json as json_module
-
-    from repro.cluster import ClusterSupervisor, boot_router
-    from repro.service import ServiceClient, request_lines
-
-    backend = "vectorized"
-    ordered = sorted(suite, key=lambda spec: spec.distance, reverse=True)
-    supervisor = ClusterSupervisor(workers=2, backend=backend)
-    router = boot_router(supervisor, backend=backend)
-    with router:
-        router.serve_background()
-        with ServiceClient(router.host, router.port, binary=True, timeout=120) as warmup:
-            first = warmup.request({"op": "solve", "spec": ordered[0].to_dict()})
-            assert first.get("ok"), first
-        record, _, _ = _fire_workload(router.host, router.port, ordered, binary=True)
-        (metrics_line,) = request_lines(
-            router.host, router.port, [json_module.dumps({"op": "metrics"})]
-        )
-        metrics = json_module.loads(metrics_line)["metrics"]
-
-    arena = metrics.get("arena") or {}
-    kernel = [row["metrics"]["kernel_cache"] for row in metrics["shards"]]
-    local_compiles = [stats["local_compiles"] for stats in kernel]
-    published = arena.get("published_chunks", -1)
-    return {
-        "workers": 2,
-        "backend": backend,
-        "specs": len(ordered) + 1,
-        "failures": record["failures"],
-        "arena_active": bool(arena),
-        "unique_trajectories": arena.get("unique_trajectories"),
-        "published_chunks": published,
-        "worker_local_compiles": local_compiles,
-        "worker_arena_hits": [stats["arena_hits"] for stats in kernel],
-        "workers_arena_attached": all(stats["arena_attached"] for stats in kernel),
-        "compiled_once_fleetwide": bool(arena)
-        and sum(local_compiles) == published
-        and published > 0,
-    }
 
 
 def run_cluster_benchmark(quick: bool) -> dict:
@@ -755,11 +696,6 @@ def run_cluster_benchmark(quick: bool) -> dict:
             scenarios[name] = record
             parity[name] = parity_of(first_seen)
             failures_total += record["failures"]
-
-        # The shared-arena proof: every unique trajectory compiled
-        # exactly once across the whole fleet.
-        compile_once = _cluster_compile_once_round(suite)
-        failures_total += compile_once["failures"]
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
@@ -780,7 +716,6 @@ def run_cluster_benchmark(quick: bool) -> dict:
         "clients": SERVE_CLIENTS,
         "requests": len(workload),
         "scenarios": scenarios,
-        "arena_compile_once": compile_once,
         "speedup_workers_2_vs_1": round(rate("cluster_workers_2") / base_rate, 2)
         if base_rate
         else None,
@@ -1464,14 +1399,6 @@ def main() -> int:
         print(
             "ERROR: cluster benchmark dropped requests or a sharded answer "
             f"drifted from the direct facade solve ({cluster_snapshot['parity_by_scenario']})",
-            file=sys.stderr,
-        )
-        return 1
-    compile_once = cluster_snapshot["arena_compile_once"]
-    if compile_once["arena_active"] and not compile_once["compiled_once_fleetwide"]:
-        print(
-            "ERROR: the worker fleet recompiled trajectories the shared arena "
-            f"should have served ({compile_once})",
             file=sys.stderr,
         )
         return 1

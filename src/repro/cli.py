@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "query a running daemon at --host/--port for its metrics document "
-            "(frame-format counts, arena stats) and print it as JSON"
+            "(frame-format counts, kernel cache stats) and print it as JSON"
         ),
     )
     _add_store_arguments(serve)

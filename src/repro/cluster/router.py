@@ -778,8 +778,6 @@ class AsyncShardRouter(AsyncLineServer):
             "degraded": degraded,
         }
         snapshot["transport"] = self.transport.snapshot()
-        if self.supervisor.arena is not None:
-            snapshot["arena"] = self.supervisor.arena.stats()
         snapshot["shards"] = self._shard_rows(probe="metrics")
         snapshot["subscriptions"] = self.subscription_stats()
         return snapshot

@@ -126,17 +126,6 @@ class ClusterSupervisor:
         self._stopped = False
         self._stop_lock = threading.Lock()
         self._stop_done = threading.Event()
-        # One fleet-wide compiled-trajectory arena: every worker attaches
-        # by name (via the environment) and a trajectory compiled on any
-        # shard is mapped zero-copy by all of them.  ``None`` when shared
-        # memory is unavailable -- workers then run with private caches.
-        from ..simulation.arena import TrajectoryArena
-
-        self.arena: Optional[TrajectoryArena] = None
-        try:
-            self.arena = TrajectoryArena.create()
-        except Exception:
-            self.arena = None
 
     def _worker_store_dir(self, worker_id: int) -> Optional[Path]:
         if self.primary_store is None:
@@ -217,10 +206,6 @@ class ClusterSupervisor:
         env["PYTHONPATH"] = os.pathsep.join(
             [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        if self.arena is not None:
-            from ..simulation.arena import ARENA_ENV
-
-            env[ARENA_ENV] = self.arena.name
         with log_path.open("ab") as log:
             handle.process = subprocess.Popen(
                 self._worker_command(handle, port_file),
@@ -381,10 +366,6 @@ class ClusterSupervisor:
             shutil.rmtree(self._run_dir, ignore_errors=True)
             return added
         finally:
-            # Workers are down: unlink the fleet arena so CI leaves no
-            # /dev/shm litter (no-op for attachers and forked children).
-            if self.arena is not None:
-                self.arena.destroy()
             self._stop_done.set()
 
     def __enter__(self) -> "ClusterSupervisor":

@@ -195,20 +195,12 @@ class PoolExecutor(Executor):
         import multiprocessing
 
         from ..api.result import SolveResult
-        from ..simulation import arena as _arena
 
         payloads = [
             (index, plan.backend, planned.spec.to_dict())
             for index, planned in enumerate(plan.pooled)
         ]
-        # Share one compiled-trajectory arena with the pool workers so a
-        # chunk compiled by any of them (or by this process) is mapped
-        # zero-copy by the rest instead of recompiled per process.  On
-        # arena failure the workers simply run with private caches.
-        shared = _arena.ensure_process_arena()
-        initializer = _arena.attach_in_worker if shared is not None else None
-        initargs = (shared.name,) if shared is not None else ()
-        pool = multiprocessing.Pool(plan.processes, initializer=initializer, initargs=initargs)
+        pool = multiprocessing.Pool(plan.processes)
         drained = False
         try:
             pending = pool.imap_unordered(

@@ -58,7 +58,6 @@ __all__ = [
     "SegmentRows",
     "SegmentStreamCompiler",
     "compile_segments",
-    "packed_chunk_nbytes",
 ]
 
 #: Segment-kind codes stored in :attr:`CompiledTrajectory.kinds`.
@@ -81,22 +80,12 @@ EVAL_FIELDS: tuple[str, ...] = (
     "omega",
 )
 
-#: The float64 arrays of a :class:`CompiledTrajectory`, in the canonical
-#: serialisation order used by the shared-memory arena
-#: (:mod:`repro.simulation.arena`): the evaluation columns, then the
-#: linear end point and the arc sweep.  ``kinds`` (int8) trails them so
-#: every float view stays 8-byte aligned without per-array padding.
+#: The float64 arrays of a :class:`CompiledTrajectory`: the evaluation
+#: columns, then the linear end point and the arc sweep.  The order is
+#: the dataclass field order after ``kinds``, because
+#: :meth:`CompiledTrajectory.section` and :meth:`CompiledTrajectory.concat`
+#: pass the columns positionally.
 FLOAT_FIELDS: tuple[str, ...] = EVAL_FIELDS + ("ex", "ey", "sweep")
-
-
-def packed_chunk_nbytes(n_segments: int) -> int:
-    """Bytes one ``n_segments`` chunk occupies in the arena data region.
-
-    Thirteen float64 arrays, one int8 array, padded up to 8-byte alignment
-    so the next chunk's float views stay aligned.
-    """
-    raw = 8 * len(FLOAT_FIELDS) * n_segments + n_segments
-    return (raw + 7) & ~7
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from .gap import (
 )
 from .horizon import HorizonPolicy, bound_multiple_horizon, fixed_horizon
 from .instance import RendezvousInstance, SearchInstance
-from .arena import TrajectoryArena
 from .kernel import (
     clear_compiled_cache,
     kernel_cache_stats,
@@ -48,7 +47,6 @@ __all__ = [
     "fixed_horizon",
     "RendezvousInstance",
     "SearchInstance",
-    "TrajectoryArena",
     "clear_compiled_cache",
     "kernel_cache_stats",
     "kernel_simulate_rendezvous",

@@ -100,17 +100,14 @@ _CACHED_CHUNK_SEGMENTS = 512
 _CACHE_SEGMENT_CAP = 1 << 18
 
 
-#: Cross-process / cross-batch cache observability.  ``cache_capped``
-#: counts entries whose prefix hit ``_CACHE_SEGMENT_CAP`` -- streams that
-#: long keep solving through the uncached continuation path, they just
-#: stop extending the shared prefix.  Reset by :func:`clear_compiled_cache`.
+#: Compiled-chunk cache observability.  ``local_compiles`` counts the
+#: chunks this process compiled into the cache; ``cache_capped`` counts
+#: entries whose prefix hit ``_CACHE_SEGMENT_CAP`` -- streams that long
+#: keep solving through the uncached continuation path, they just stop
+#: extending the cached prefix.  Reset by :func:`clear_compiled_cache`.
 _STATS_LOCK = threading.Lock()
 _STATS = {
     "local_compiles": 0,
-    "arena_hits": 0,
-    "arena_misses": 0,
-    "arena_publishes": 0,
-    "arena_drops": 0,
     "cache_capped": 0,
 }
 
@@ -121,16 +118,11 @@ def _count(counter: str, amount: int = 1) -> None:
 
 
 def kernel_cache_stats() -> dict:
-    """JSON-safe snapshot of the compiled-chunk cache and arena counters."""
-    from . import arena as _arena
-
+    """JSON-safe snapshot of the compiled-chunk cache counters."""
     with _STATS_LOCK:
         stats = dict(_STATS)
     with _CHUNK_CACHE_LOCK:
         stats["entries"] = len(_CHUNK_CACHE)
-    active = _arena.active_arena()
-    stats["arena_attached"] = active is not None
-    stats["arena"] = active.stats() if active is not None else None
     return stats
 
 
@@ -139,21 +131,13 @@ class _CacheEntry:
 
     The local trajectory is the reference robot R's world trajectory, so
     R reads the chunks as they are; every other robot maps slices of them
-    into its own frame (:meth:`span`).  The prefix has two backing tiers:
-    this process's ``chunks`` list and, when a
-    :mod:`repro.simulation.arena` is active, the cross-process
-    shared-memory arena.  Extension checks the arena first (adopting
-    zero-copy views another process already compiled), compiles locally
-    on a miss, and publishes what it compiled -- so any trajectory is
-    compiled once fleet-wide.  ``stream_done`` distinguishes a genuinely
-    exhausted stream from a cap-limited prefix; adopting arena chunks
-    leaves the local compiler stale (``compiler`` None), and a later
-    local extension rebuilds it by skipping the covered prefix.
+    into its own frame (:meth:`span`).  The prefix grows one fixed-size
+    chunk at a time up to ``_CACHE_SEGMENT_CAP`` segments, and
+    ``stream_done`` distinguishes a genuinely exhausted stream from a
+    cap-limited prefix.
     """
 
     __slots__ = (
-        "algorithm",
-        "digest",
         "chunks",
         "starts",
         "compiler",
@@ -163,14 +147,10 @@ class _CacheEntry:
         "lock",
     )
 
-    def __init__(self, algorithm: MobilityAlgorithm, digest: bytes) -> None:
-        self.algorithm = algorithm
-        self.digest = digest
+    def __init__(self, algorithm: MobilityAlgorithm) -> None:
         self.chunks: list[CompiledTrajectory] = []
         self.starts: list[int] = []  # index of each chunk's first segment
-        self.compiler: Optional[SegmentStreamCompiler] = SegmentStreamCompiler(
-            algorithm.segments()
-        )
+        self.compiler = SegmentStreamCompiler(algorithm.segments())
         self.segment_total = 0
         self.done = False  # stream exhausted or cache cap reached
         self.stream_done = False  # the underlying stream is known exhausted
@@ -180,65 +160,20 @@ class _CacheEntry:
         # serialised or concurrent solves read corrupted trajectories.
         self.lock = threading.Lock()
 
-    def _mark_capped(self) -> None:
-        if self.segment_total >= _CACHE_SEGMENT_CAP and not self.done:
-            self.done = True
-            _count("cache_capped")
-
-    def _append(self, compiled: CompiledTrajectory) -> None:
-        self.chunks.append(compiled)
-        self.starts.append(self.segment_total)
-        self.segment_total += len(compiled)
-
     def _extend(self) -> None:
-        """Grow the prefix by one chunk (arena first, then local compile)."""
-        from . import arena as _arena
-
-        shared = _arena.active_arena()
-        next_index = len(self.chunks)
-        if shared is not None:
-            found = shared.get(self.digest, next_index)
-            if found is not None:
-                compiled, final, _ = found
-                _count("arena_hits")
-                if compiled is not None:
-                    self._append(compiled)
-                    self.compiler = None  # local stream now lags the prefix
-                if final:
-                    self.stream_done = True
-                    self.done = True
-                else:
-                    self._mark_capped()
-                return
-            _count("arena_misses")
-        if self.compiler is None:
-            # Arena-adopted chunks outpaced the local stream: regenerate
-            # it and skip the prefix we already hold.
-            skipped = itertools.islice(self.algorithm.segments(), self.segment_total, None)
-            start = self.chunks[-1].t_end if self.chunks else 0.0
-            self.compiler = SegmentStreamCompiler(skipped, start_time=start)
+        """Grow the prefix by one compiled chunk."""
         compiled = self.compiler.next_chunk(max_segments=_CACHED_CHUNK_SEGMENTS)
         if compiled is None:
             self.stream_done = True
             self.done = True
-            if shared is not None:
-                pos = None
-                if self.chunks:
-                    end = self.chunks[-1].end_position()
-                    pos = (end.x, end.y)
-                if shared.publish_final(self.digest, next_index, pos):
-                    _count("arena_publishes")
-                else:
-                    _count("arena_drops")
             return
-        self._append(compiled)
+        self.chunks.append(compiled)
+        self.starts.append(self.segment_total)
+        self.segment_total += len(compiled)
         _count("local_compiles")
-        if shared is not None:
-            if shared.publish_chunk(self.digest, next_index, compiled):
-                _count("arena_publishes")
-            else:
-                _count("arena_drops")
-        self._mark_capped()
+        if self.segment_total >= _CACHE_SEGMENT_CAP:
+            self.done = True
+            _count("cache_capped")
 
     def chunk(self, index: int) -> Optional[CompiledTrajectory]:
         """The ``index``-th fixed-size chunk, compiling (and caching) as needed."""
@@ -315,9 +250,7 @@ def _cache_entry_for(algorithm: MobilityAlgorithm) -> _CacheEntry:
     with _CHUNK_CACHE_LOCK:
         entry = _CHUNK_CACHE.get(key)
         if entry is None:
-            from .arena import cache_digest
-
-            entry = _CacheEntry(algorithm, cache_digest(key))
+            entry = _CacheEntry(algorithm)
             _CHUNK_CACHE[key] = entry
         _CHUNK_CACHE.move_to_end(key)
         while len(_CHUNK_CACHE) > _CACHE_ENTRY_CAP:

@@ -418,12 +418,10 @@ class TestSupervisorValidation:
         assert row["address"] is None and row["store"] is None
 
 
-class TestFleetArenaAndBinaryLinks:
-    def test_one_fleet_arena_binary_worker_links_and_compile_once(self, cluster):
-        """The supervisor hands every worker one shared arena and the
-        router's worker links negotiate binary frames: a routed
-        vectorized solve compiles its trajectory exactly once
-        fleet-wide, bit-identical to an in-process solve."""
+class TestBinaryWorkerLinks:
+    def test_routed_vectorized_solve_over_binary_worker_links(self, cluster):
+        """The router's worker links negotiate binary frames, and a routed
+        vectorized solve is bit-identical to an in-process solve."""
         from repro.service import ServiceClient
 
         spec = SearchProblem(distance=2.0, visibility=0.5)
@@ -437,24 +435,36 @@ class TestFleetArenaAndBinaryLinks:
             assert SolveResult.from_dict(response["result"]).fingerprint() == expected
             metrics = client.request({"op": "metrics"})["metrics"]
 
-        arena = metrics["arena"]
-        assert arena["published_chunks"] >= 1
-        assert arena["unique_trajectories"] >= 1
-        assert 0 < arena["data_used"] <= arena["data_capacity"]
-
-        shards = metrics["shards"]
-        kernel = [row["metrics"]["kernel_cache"] for row in shards]
-        assert all(stats["arena_attached"] for stats in kernel)
-        # Compiled exactly once fleet-wide: every published chunk is
-        # accounted for by exactly one worker's local compile.
-        assert sum(stats["local_compiles"] for stats in kernel) == arena["published_chunks"]
-
         # The router->worker links are binary by default.
-        for row in shards:
+        for row in metrics["shards"]:
             assert row["metrics"]["transport"]["binary"]["connections"] >= 1
         # And this client's binary traffic shows on the router's ledger.
         assert metrics["transport"]["binary"]["requests"] >= 1
         assert metrics["transport"]["binary"]["bytes_out"] > 0
+
+
+class TestKernelCacheMetrics:
+    def test_every_process_reports_only_its_private_chunk_cache(self, cluster):
+        """In-process, on a daemon and on every shard, the compiled-chunk
+        cache document has the same three keys; the router adds no
+        shared-cache document of its own."""
+        from repro.simulation import kernel_cache_stats
+
+        keys = {"entries", "local_compiles", "cache_capped"}
+        metrics_line = json.dumps({"op": "metrics"})
+        assert set(kernel_cache_stats()) == keys
+
+        with AsyncReproServer(backend=BACKEND) as server:
+            server.serve_background()
+            (line,) = request_lines(server.host, server.port, [metrics_line])
+        assert set(json.loads(line)["metrics"]["kernel_cache"]) == keys
+
+        (line,) = request_lines(cluster.host, cluster.port, [metrics_line])
+        metrics = json.loads(line)["metrics"]
+        assert "arena" not in metrics
+        assert len(metrics["shards"]) == 2
+        for row in metrics["shards"]:
+            assert set(row["metrics"]["kernel_cache"]) == keys
 
 
 class TestClusterStatusSchema:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.api import BatchRunner, RendezvousProblem, SearchProblem, solve, solve_batch
@@ -165,6 +167,27 @@ class TestExecutorStrategies:
         completions = list(PoolExecutor().execute(plan))
         assert sorted(completion.source for completion in completions) == ["pool"] * 4
         assert all(completion.ok for completion in completions)
+
+    def test_pool_workers_create_no_shared_memory(self):
+        """Pool workers compile into their own chunk caches: a pooled
+        vectorized run answers like an in-process one and leaves no
+        ``psm_*`` shared-memory segment behind."""
+
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+        specs = [RendezvousProblem(distance=1.0 + 0.1 * i, visibility=0.3, speed=0.6) for i in range(4)]
+        runner = BatchRunner(backend="vectorized", processes=2)
+        assert runner.plan(specs).use_pool
+        before = segments()
+        results, stats = runner.run(specs)
+        assert stats.solved_in_pool == 4
+        assert segments() - before == set()
+        assert _fingerprints(results) == _fingerprints(
+            BatchRunner(backend="vectorized").solve_many(specs)
+        )
 
     def test_threaded_executor_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

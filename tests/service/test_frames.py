@@ -7,7 +7,6 @@ import json
 import socket
 import struct
 import threading
-import time
 
 import pytest
 
@@ -351,12 +350,6 @@ class TestTransportMetrics:
         request = {"op": "solve", "spec": SPEC.to_dict()}
         with ServiceClient(server.host, server.port, binary=True) as client:
             client.request(request)
-        # Requests are counted just after their response is flushed, so
-        # wait out the handler thread before reading the ledger.
-        deadline = time.monotonic() + 5.0
-        while server.transport.snapshot()[FORMAT_BINARY]["requests"] < 1:
-            assert time.monotonic() < deadline, "binary request never recorded"
-            time.sleep(0.005)
         with ServiceClient(server.host, server.port) as client:
             client.request(request)
             metrics = client.request({"op": "metrics"})["metrics"]
@@ -369,7 +362,6 @@ class TestTransportMetrics:
         assert transport[FORMAT_JSON]["bytes_out"] > 0
         kernel_cache = metrics["kernel_cache"]
         assert "local_compiles" in kernel_cache
-        assert "arena_attached" in kernel_cache
 
     def test_client_byte_counters_track_the_wire(self, server):
         with ServiceClient(server.host, server.port, binary=True) as client:

@@ -7,16 +7,25 @@ checked against it -- solved flags must match exactly, event times within
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.algorithms import SearchRound, UniversalSearch, WaitAndSearchRendezvous
+import repro
+from repro.algorithms import SearchCircle, SearchRound, UniversalSearch, WaitAndSearchRendezvous
+from repro.api import RendezvousProblem, SearchProblem, solve
 from repro.constants import TIME_TOLERANCE
 from repro.core import rendezvous_time_bound, theorem1_search_bound
 from repro.errors import InvalidParameterError
 from repro.geometry import Vec2
+from repro.motion.compiled import FLOAT_FIELDS, SegmentStreamCompiler
 from repro.robots import RobotAttributes
 from repro.simulation import (
     RendezvousInstance,
@@ -33,6 +42,7 @@ from repro.simulation.kernel import (
     _lipschitz_first_crossing,
     _quadratic_first_crossing,
     clear_compiled_cache,
+    kernel_cache_stats,
 )
 from repro.workloads import (
     mirrored_suite,
@@ -222,6 +232,248 @@ class TestRobotParking:
         assert abs(outcome.event.time - scalar.event.time) <= TIME_TOLERANCE
         assert len(parked) == 1 and parked[0].is_close(Vec2(0.0, 2.0))
         assert outcome.event.position_other.is_close(parked[0])
+
+
+#: Rendezvous whose other robot's chunks are mapped from the cached
+#: arrays: mirrored with speed != 1, and tau != 1.  Both run the other
+#: robot past a 256-segment cache cap (one 512-segment chunk); the
+#: mirrored one runs the reference robot past it too.
+MIRRORED = RendezvousProblem(
+    distance=2.5, visibility=0.2, speed=0.7, orientation=1.0, chirality=-1
+)
+CLOCK = RendezvousProblem(distance=3.0, visibility=0.15, time_unit=0.5)
+
+
+@pytest.fixture
+def fresh_compiled_cache():
+    """No inherited compiled cache, before and after."""
+    clear_compiled_cache()
+    yield
+    clear_compiled_cache()
+
+
+@pytest.mark.usefixtures("fresh_compiled_cache")
+class TestCacheSegmentCap:
+    @pytest.mark.parametrize(
+        "spec, continued_mapped",
+        [
+            # > one 512-segment chunk: the searcher runs past the cap.
+            pytest.param(SearchProblem(distance=5.0, visibility=0.2), {False}, id="search"),
+            pytest.param(MIRRORED, {True, False}, id="mirrored"),
+            pytest.param(CLOCK, {True}, id="clock"),
+        ],
+    )
+    def test_capped_stream_still_solves_bit_identically(self, monkeypatch, spec, continued_mapped):
+        from repro.simulation import kernel
+
+        baseline = solve(spec, backend="vectorized")
+        assert kernel_cache_stats()["cache_capped"] == 0
+
+        continued = []
+        resume = kernel._ChunkSource._continue_uncached
+
+        def recording(source):
+            continued.append(source._mapped)
+            resume(source)
+
+        clear_compiled_cache()
+        monkeypatch.setattr(kernel, "_CACHE_SEGMENT_CAP", 256)
+        monkeypatch.setattr(kernel._ChunkSource, "_continue_uncached", recording)
+        capped = solve(spec, backend="vectorized")
+        stats = kernel_cache_stats()
+        assert stats["cache_capped"] > 0
+        # The robots whose streams run past the cap continue uncached
+        # (True for a mapped robot, False for the reference frame).
+        assert set(continued) == continued_mapped
+        # The capped prefix stops extending; the continuation path must
+        # still produce the exact same answer.
+        assert capped.fingerprint() == baseline.fingerprint()
+
+
+#: One spec per way a robot reads the cache: the searcher takes the
+#: cached chunks as they are, the other robot of a mirrored or an
+#: asymmetric-clock rendezvous maps slices of the same chunks.
+CACHE_SPECS = [
+    pytest.param(SearchProblem(distance=2.0, visibility=0.5), id="search"),
+    pytest.param(MIRRORED, id="mirrored"),
+    pytest.param(CLOCK, id="clock"),
+]
+
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _assert_same_chunk(got, expected):
+    assert len(got) == len(expected)
+    np.testing.assert_array_equal(got.kinds, expected.kinds)
+    for field in FLOAT_FIELDS:
+        np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
+
+
+@pytest.mark.usefixtures("fresh_compiled_cache")
+class TestPrivateChunkCache:
+    """Each process compiles a trajectory once and serves every later
+    solve, and both robots of a rendezvous, from its own cache."""
+
+    @pytest.mark.parametrize("spec", CACHE_SPECS)
+    def test_a_repeated_solve_compiles_nothing(self, spec):
+        first = solve(spec, backend="vectorized")
+        compiled = kernel_cache_stats()["local_compiles"]
+        assert compiled > 0
+        second = solve(spec, backend="vectorized")
+        assert kernel_cache_stats()["local_compiles"] == compiled
+        assert second.fingerprint() == first.fingerprint()
+
+    @pytest.mark.parametrize("spec", CACHE_SPECS)
+    def test_a_cleared_cache_recompiles_the_same_chunks(self, spec):
+        first = solve(spec, backend="vectorized")
+        stats = kernel_cache_stats()
+        clear_compiled_cache()
+        assert kernel_cache_stats() == {"local_compiles": 0, "cache_capped": 0, "entries": 0}
+        again = solve(spec, backend="vectorized")
+        assert kernel_cache_stats() == stats
+        assert again.fingerprint() == first.fingerprint()
+
+    @pytest.mark.parametrize(
+        "spec", [pytest.param(MIRRORED, id="mirrored"), pytest.param(CLOCK, id="clock")]
+    )
+    def test_both_robots_of_a_rendezvous_read_one_entry(self, spec):
+        solve(spec, backend="vectorized")
+        assert kernel_cache_stats()["entries"] == 1
+
+    def test_stats_document_is_json_safe(self):
+        solve(MIRRORED, backend="vectorized")
+        stats = kernel_cache_stats()
+        assert set(stats) == {"entries", "local_compiles", "cache_capped"}
+        assert json.loads(json.dumps(stats)) == stats
+
+    def test_concurrent_solves_compile_each_chunk_once(self):
+        expected = solve(MIRRORED, backend="vectorized").fingerprint()
+        compiled = kernel_cache_stats()["local_compiles"]
+        clear_compiled_cache()
+
+        barrier = threading.Barrier(4)
+        fingerprints = []
+
+        def worker():
+            barrier.wait()
+            for _ in range(3):
+                fingerprints.append(solve(MIRRORED, backend="vectorized").fingerprint())
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert fingerprints == [expected] * 12
+        assert kernel_cache_stats()["local_compiles"] == compiled
+
+    def test_a_child_process_compiles_its_own_cache(self):
+        spec = SearchProblem(distance=2.0, visibility=0.5)
+        expected = solve(spec, backend="vectorized").fingerprint()
+        parent_stats = kernel_cache_stats()
+        code = (
+            "import json\n"
+            "from repro.api import SearchProblem, solve\n"
+            "from repro.simulation.kernel import kernel_cache_stats\n"
+            "result = solve(SearchProblem(distance=2.0, visibility=0.5), backend='vectorized')\n"
+            "print(json.dumps({'fingerprint': result.fingerprint(), 'stats': kernel_cache_stats()}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        child = json.loads(completed.stdout.splitlines()[-1])
+        # The child compiled the same chunks for itself and answered
+        # identically; nothing it did reached this process's cache.
+        assert child["fingerprint"] == expected
+        assert child["stats"] == parent_stats
+        assert kernel_cache_stats() == parent_stats
+
+
+@pytest.mark.usefixtures("fresh_compiled_cache")
+class TestCacheEntries:
+    """The cache mapping: one entry per algorithm parameterisation, at
+    most ``_CACHE_ENTRY_CAP`` of them, least recently used evicted."""
+
+    def test_equal_parameters_share_an_entry(self):
+        entry = kernel_module._cache_entry_for(UniversalSearch())
+        assert kernel_module._cache_entry_for(UniversalSearch(first_round=1)) is entry
+        assert kernel_cache_stats()["entries"] == 1
+
+    def test_parameters_beyond_six_digits_get_their_own_entry(self):
+        close = [SearchCircle(1.0), SearchCircle(1.0000001)]
+        assert close[0].describe() == close[1].describe()
+        entries = [kernel_module._cache_entry_for(algorithm) for algorithm in close]
+        assert entries[0] is not entries[1]
+        assert kernel_cache_stats()["entries"] == 2
+
+    def test_at_most_the_cap_of_trajectories_stay_cached(self):
+        cap = kernel_module._CACHE_ENTRY_CAP
+        algorithms = [UniversalSearch(first_round=k) for k in range(1, cap + 3)]
+        for algorithm in algorithms:
+            kernel_module._cache_entry_for(algorithm)
+        assert kernel_cache_stats()["entries"] == cap
+        cached = set(kernel_module._CHUNK_CACHE)
+        assert [kernel_module._cache_key(a) in cached for a in algorithms] == [False] * 2 + [
+            True
+        ] * cap
+
+    def test_a_lookup_refreshes_recency(self):
+        cap = kernel_module._CACHE_ENTRY_CAP
+        algorithms = [UniversalSearch(first_round=k) for k in range(1, cap + 1)]
+        for algorithm in algorithms:
+            kernel_module._cache_entry_for(algorithm)
+        kernel_module._cache_entry_for(algorithms[0])
+        kernel_module._cache_entry_for(UniversalSearch(first_round=cap + 1))
+        cached = set(kernel_module._CHUNK_CACHE)
+        assert kernel_module._cache_key(algorithms[0]) in cached
+        assert kernel_module._cache_key(algorithms[1]) not in cached
+
+
+@pytest.mark.usefixtures("fresh_compiled_cache")
+class TestCacheEntry:
+    """One entry's compiled prefix: fixed-size chunks, spans across them,
+    and the difference between a finished stream and a capped prefix."""
+
+    def test_chunks_match_a_fresh_stream_compile(self):
+        entry = kernel_module._CacheEntry(UniversalSearch())
+        compiler = SegmentStreamCompiler(UniversalSearch().segments())
+        size = kernel_module._CACHED_CHUNK_SEGMENTS
+        for index in range(2):
+            _assert_same_chunk(entry.chunk(index), compiler.next_chunk(max_segments=size))
+        assert entry.chunk(1) is entry.chunk(1)
+        assert kernel_cache_stats()["local_compiles"] == 2
+
+    def test_a_span_crosses_chunk_boundaries(self):
+        entry = kernel_module._CacheEntry(UniversalSearch())
+        size = kernel_module._CACHED_CHUNK_SEGMENTS
+        reference = SegmentStreamCompiler(UniversalSearch().segments()).next_chunk(
+            max_segments=2 * size
+        )
+        first = size - 12
+        _assert_same_chunk(entry.span(first, 40), reference.section(first, first + 40))
+        assert entry.starts == [0, size]
+
+    def test_a_finite_stream_ends_with_stream_done(self):
+        entry = kernel_module._CacheEntry(SearchRound(1))
+        total = len(entry.chunk(0))
+        assert entry.chunk(1) is None
+        assert entry.done and entry.stream_done
+        assert len(entry.span(total - 5, 10)) == 5
+        assert entry.span(total, 4) is None
+        assert kernel_cache_stats()["cache_capped"] == 0
+
+    def test_a_capped_prefix_is_not_the_stream_end(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_CACHE_SEGMENT_CAP", 256)
+        entry = kernel_module._CacheEntry(UniversalSearch())
+        assert len(entry.chunk(0)) == kernel_module._CACHED_CHUNK_SEGMENTS
+        assert entry.chunk(1) is None
+        assert entry.done and not entry.stream_done
+        assert entry.span(kernel_module._CACHED_CHUNK_SEGMENTS + 8, 8) is None
+        assert kernel_cache_stats()["cache_capped"] == 1
 
 
 class TestCrossingPrimitives:
