@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ExperimentReport
-from repro.experiments import run_experiment
+from repro.experiments.registry import run_experiment
 
 #: Where benchmark artefacts (markdown tables, CSVs, SVG figures) are written.
 ARTIFACT_DIRECTORY = Path(__file__).resolve().parent / "results"

@@ -50,7 +50,7 @@ from typing import Any, Iterator, NamedTuple, Optional, Union
 
 from ..errors import InvalidParameterError
 from .result import SolveResult
-from .spec import SCHEMA_VERSION, ProblemSpec
+from .spec import SCHEMA_VERSION, ProblemSpec, canonical_dumps
 
 __all__ = ["StoreKey", "StoreStats", "ResultStore"]
 
@@ -98,6 +98,18 @@ class StoreStats:
             f"{self.skipped_lines} skipped lines, {self.pending} pending, "
             f"{self.total_bytes} bytes) [{per_backend or 'empty'}] at {self.path}"
         )
+
+
+def _record_line(backend: str, spec_hash: str, envelope: dict[str, Any]) -> str:
+    """Encode one JSONL record (without its newline); ``_parse_record`` reads it."""
+    return canonical_dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "backend": backend,
+            "spec_hash": spec_hash,
+            "result": envelope,
+        }
+    )
 
 
 def _parse_record(line: str) -> Optional[tuple[StoreKey, dict[str, Any]]]:
@@ -389,13 +401,7 @@ class ResultStore:
         with self._write_lock:
             if key in self._index or key in self._pending_keys:
                 return False
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "backend": backend,
-                "spec_hash": key.spec_hash,
-                "result": envelope,
-            }
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            line = _record_line(backend, key.spec_hash, envelope)
             self._pending_keys[key] = len(self._pending)
             self._pending.append((key, line))
             if len(self._pending) >= self.flush_every:
@@ -505,13 +511,7 @@ class ResultStore:
             envelope = self.get_envelope(key.backend, key.spec_hash)
             if envelope is None:
                 continue
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "backend": key.backend,
-                "spec_hash": key.spec_hash,
-                "result": envelope,
-            }
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False))
+            lines.append(_record_line(key.backend, key.spec_hash, envelope))
         compacted = self._publish_segment(lines) if lines else None
         removed = 0
         for segment in old_segments:
@@ -545,13 +545,7 @@ class ResultStore:
         count = 0
         with temp.open("w", encoding="utf-8") as handle:
             for key, envelope in self.scan():
-                record = {
-                    "schema_version": SCHEMA_VERSION,
-                    "backend": key.backend,
-                    "spec_hash": key.spec_hash,
-                    "result": envelope,
-                }
-                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False))
+                handle.write(_record_line(key.backend, key.spec_hash, envelope))
                 handle.write("\n")
                 count += 1
             handle.flush()

@@ -81,10 +81,8 @@ from .api import solve as api_solve
 from .core import classify_feasibility
 from .core.schedule import RoundSchedule
 from .errors import InvalidParameterError, ReproError
-from .experiments import experiment_ids, run_all_resumable, write_summary
 from .geometry import Vec2
 from .robots import RobotAttributes
-from .viz import overlap_rows, render_schedule_ascii
 
 #: Environment variable that provides a default ``--store`` directory.
 STORE_ENV_VAR = "REPRO_STORE"
@@ -985,6 +983,9 @@ def _command_rendezvous(namespace: argparse.Namespace) -> int:
 
 
 def _command_experiments(namespace: argparse.Namespace) -> int:
+    from .experiments.registry import experiment_ids
+    from .experiments.runall import run_all_resumable, write_summary
+
     if namespace.list:
         for identifier in experiment_ids():
             print(identifier)
@@ -1404,6 +1405,8 @@ def _sweep_connect(namespace: argparse.Namespace, specs: list) -> dict[str, Any]
 
 
 def _command_schedule(namespace: argparse.Namespace) -> int:
+    from .viz import overlap_rows, render_schedule_ascii
+
     print(RoundSchedule(1.0).describe(namespace.rounds))
     print()
     print(RoundSchedule(namespace.tau).describe(namespace.rounds))

@@ -42,6 +42,7 @@ import threading
 import time
 from typing import Any, Optional
 
+from ..api.spec import canonical_dumps
 from ..errors import ClusterError, ReproError
 from ..service.aio import AsyncLineServer
 from ..service.frames import (
@@ -189,8 +190,7 @@ class _WorkerPool:
                 conn.sendall(encode_frame(data))
                 payload = read_frame(reader)
             else:
-                line = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
-                conn.sendall((line + "\n").encode("utf-8"))
+                conn.sendall((canonical_dumps(data) + "\n").encode("utf-8"))
                 payload = reader.readline()
         except TimeoutError as error:
             # The connection is desynced (an answer may still arrive);
@@ -869,8 +869,7 @@ class AsyncShardRouter(AsyncLineServer):
                     "backend": effective,
                     "specs": [spec.to_dict() for spec, _ in pairs],
                 }
-                line = json.dumps(request, sort_keys=True, separators=(",", ":"), allow_nan=False)
-                conn.sendall((line + "\n").encode("utf-8"))
+                conn.sendall((canonical_dumps(request) + "\n").encode("utf-8"))
                 raw = reader.readline()
                 ack = json.loads(raw.decode("utf-8")) if raw else None
                 if not isinstance(ack, dict) or not ack.get("ok"):

@@ -36,6 +36,7 @@ import json
 import socket
 from typing import Any, Iterator, Optional
 
+from ..api.spec import canonical_dumps
 from ..errors import ReproError, ServiceProtocolError
 from .frames import (
     FORMAT_BINARY,
@@ -123,9 +124,7 @@ class ServiceClient:
         if self.format == FORMAT_BINARY:
             encoded = encode_frame(data)
         else:
-            encoded = (
-                json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-            ).encode("utf-8")
+            encoded = (canonical_dumps(data) + "\n").encode("utf-8")
         try:
             self._stream.write(encoded)
             self._stream.flush()

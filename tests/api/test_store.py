@@ -8,11 +8,13 @@ fingerprint-identical to cold solves.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 
 import pytest
 
+from repro import __version__
 from repro.api import (
     BatchRunner,
     ResultStore,
@@ -289,6 +291,50 @@ class TestExportImport:
         store = ResultStore(tmp_path)
         with pytest.raises(InvalidParameterError):
             store.put_envelope("analytic", {"solved": True})
+
+
+#: The exact bytes of one stored segment line: the record of ``_spec(0)``
+#: solved by ``analytic`` with its wall time set to 0.0, keys sorted,
+#: compact separators, a newline after the record.  A segment written by
+#: ``flush``, ``gc`` or ``export`` must stay byte-identical to it, or
+#: stores written by different library versions stop deduplicating.
+GOLDEN_SEGMENT_LINE = (
+    '{"backend":"analytic","result":{"algorithm":null,"bound":99.39822368615503,'
+    '"bound_ratio":null,"details":{"difficulty":2.5600000000000005,"guaranteed_round":1},'
+    '"feasible":true,"measured_time":null,"provenance":{"backend":"analytic",'
+    '"fidelity":"bound","from_store":false,"library_version":"' + __version__ + '",'
+    '"schema_version":1,"seed":6930390053233312093,'
+    '"spec_hash":"e02db108dddf415ddf349b500e1bde74728d22eae706cbd03a9199e0b4b9de65",'
+    '"wall_time":0.0},"schema_version":1,"solved":null,"spec":{"bearing":0.3,'
+    '"distance":0.8,"kind":"search","schema_version":1,"target_x":null,"target_y":null,'
+    '"visibility":0.25}},"schema_version":1,'
+    '"spec_hash":"e02db108dddf415ddf349b500e1bde74728d22eae706cbd03a9199e0b4b9de65"}\n'
+).encode("utf-8")
+
+
+class TestGoldenSegmentLine:
+    def _store_with_one_record(self, path):
+        result = _solved(0)
+        result = dataclasses.replace(
+            result, provenance=dataclasses.replace(result.provenance, wall_time=0.0)
+        )
+        store = ResultStore(path, flush_every=1000)
+        store.put("analytic", result)
+        return store
+
+    def test_flushed_segment_line_is_byte_identical(self, tmp_path):
+        segment = self._store_with_one_record(tmp_path).flush()
+        assert segment is not None
+        assert segment.read_bytes() == GOLDEN_SEGMENT_LINE
+
+    def test_gc_and_export_write_the_same_bytes(self, tmp_path):
+        store = self._store_with_one_record(tmp_path / "store")
+        store.flush()
+        assert store.gc() == (1, 1)
+        (compacted,) = (tmp_path / "store").glob("segment-*.jsonl")
+        assert compacted.read_bytes() == GOLDEN_SEGMENT_LINE
+        assert store.export(tmp_path / "export.jsonl") == 1
+        assert (tmp_path / "export.jsonl").read_bytes() == GOLDEN_SEGMENT_LINE
 
 
 def _write_after_all_opened(directory: str, offset: int, opened) -> None:

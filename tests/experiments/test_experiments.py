@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis import ExperimentReport
 from repro.errors import ExperimentError
-from repro.experiments import experiment_ids, get_experiment, run_all, run_experiment, write_summary
+from repro.experiments.registry import experiment_ids, get_experiment, run_experiment
+from repro.experiments.runall import run_all, write_summary
 
 
 class TestRegistry:

@@ -5,13 +5,9 @@ from __future__ import annotations
 import json
 
 from repro.api import BatchRunner, ResultStore
-from repro.experiments import (
-    RunManifest,
-    run_all_resumable,
-    shared_runner,
-    solve_specs,
-)
+from repro.experiments import RunManifest, shared_runner, solve_specs
 from repro.experiments.manifest import MANIFEST_NAME
+from repro.experiments.runall import run_all_resumable
 from repro.workloads import as_specs, search_random_suite
 
 
