@@ -57,7 +57,7 @@ from ..exec import (
 )
 from .backends import _REGISTRY as _BACKEND_REGISTRY
 from .backends import AnalyticBackend, AutoBackend, SimulationBackend, create_backend
-from .result import SolveResult
+from .result import EncodedEnvelope, SolveResult
 from .spec import ProblemSpec
 from .store import ResultStore
 from .vectorized import VectorizedBackend
@@ -240,11 +240,23 @@ class BatchRunner:
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
 
-    def _record_solved(self, key: tuple[str, str], result: SolveResult) -> None:
-        """File one freshly solved result with the LRU and the store tier."""
+    def _record_solved(self, completion: Completion) -> Completion:
+        """File one freshly solved result with the LRU and the store tier.
+
+        The store encodes the result once as it files it, and the
+        returned completion carries that encoding on; the LRU keeps the
+        result alone.
+        """
+        key, result = completion.key, completion.result
+        assert result is not None
         self._cache_put(key, result)
-        if self.store is not None:
-            self.store.put(key[0], result)
+        if self.store is None:
+            return completion
+        encoded = EncodedEnvelope(result)
+        self.store.put(key[0], encoded)
+        return Completion(
+            key, completion.source, result, latency=completion.latency, encoded=encoded
+        )
 
     # -- planning --------------------------------------------------------------
     def plan(
@@ -292,9 +304,10 @@ class BatchRunner:
         """Execute a plan, streaming completions in completion order.
 
         Fresh results are recorded into the LRU and the store as they
-        stream past; the store is flushed when the stream ends (also on
-        early close), unless the runner was built with
-        ``flush_store=False``.
+        stream past, and with a store their completions carry the
+        envelope's one encoding (``Completion.encoded``); the store is
+        flushed when the stream ends (also on early close), unless the
+        runner was built with ``flush_store=False``.
         """
         executor = self._executor_for(plan)
         try:
@@ -303,7 +316,7 @@ class BatchRunner:
                     "cache",
                     "store",
                 ):
-                    self._record_solved(completion.key, completion.result)
+                    completion = self._record_solved(completion)
                 yield completion
         finally:
             if self.store is not None and self.flush_store:

@@ -16,9 +16,9 @@ from typing import Any, Mapping, Optional
 
 from .._version import __version__
 from ..errors import InvalidParameterError
-from .spec import SCHEMA_VERSION, ProblemSpec, spec_dict_hash, spec_from_dict
+from .spec import SCHEMA_VERSION, ProblemSpec, canonical_dumps, spec_dict_hash, spec_from_dict
 
-__all__ = ["Provenance", "SolveResult", "check_envelope"]
+__all__ = ["EncodedEnvelope", "Provenance", "SolveResult", "check_envelope", "envelope_blob"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,6 +197,86 @@ class SolveResult:
             lines.append(f"analytic {bound_label}: {self.bound:.6g} (no simulation requested)")
         lines.append(f"[{self.backend} backend, {self.provenance.wall_time * 1e3:.2f} ms]")
         return "\n".join(lines)
+
+
+class EncodedEnvelope:
+    """One result's wire envelope, built and encoded at most once.
+
+    :meth:`SolveResult.to_dict` is called on first use, and every member
+    but ``provenance`` is encoded once, as the runs that sort before and
+    after it; :attr:`text` and :attr:`blob` splice a provenance between
+    them, so the wire text, the store record and the fingerprint blob
+    cost one encoding together.  Nothing is kept on the result, so an
+    LRU entry never holds an encoding.  :func:`envelope_blob` builds the
+    same blob from an envelope dict alone (a relayed record, the
+    ``repro.experiments.manifest`` digests).
+    """
+
+    __slots__ = ("_result", "_envelope", "_runs", "_text")
+
+    def __init__(self, result: SolveResult) -> None:
+        self._result = result
+        self._envelope: Optional[dict[str, Any]] = None
+        self._runs: Optional[tuple[str, str]] = None
+        self._text: Optional[str] = None
+
+    @property
+    def envelope(self) -> dict[str, Any]:
+        """The envelope dict (:meth:`SolveResult.to_dict`, called once)."""
+        if self._envelope is None:
+            self._envelope = self._result.to_dict()
+        return self._envelope
+
+    @property
+    def text(self) -> str:
+        """The envelope's canonical JSON: ``canonical_dumps(envelope)``."""
+        if self._text is None:
+            self._text = self.splice(self.envelope["provenance"])
+        return self._text
+
+    @property
+    def blob(self) -> str:
+        """The fingerprint blob: the text with ``provenance.wall_time`` 0.0
+        and ``provenance.from_store`` false, as :meth:`SolveResult.fingerprint`
+        neutralises them.
+        """
+        return self.splice(_fingerprint_provenance(self.envelope["provenance"]))
+
+    def splice(self, provenance: Mapping[str, Any]) -> str:
+        """The envelope's canonical JSON with ``provenance`` as its provenance."""
+        if self._runs is None:
+            before: dict[str, Any] = {}
+            after: dict[str, Any] = {}
+            for key, value in self.envelope.items():
+                if key < "provenance":
+                    before[key] = value
+                elif key > "provenance":
+                    after[key] = value
+            self._runs = (canonical_dumps(before)[1:-1], canonical_dumps(after)[1:-1])
+        before_run, after_run = self._runs
+        member = '"provenance":' + canonical_dumps(provenance)
+        return "{" + ",".join(run for run in (before_run, member, after_run) if run) + "}"
+
+
+def envelope_blob(envelope: Mapping[str, Any]) -> str:
+    """The fingerprint blob of one wire envelope (:meth:`SolveResult.to_dict`).
+
+    The bytes of :attr:`EncodedEnvelope.blob`, for an envelope whose
+    text is not wanted, such as a record a relay decoded.
+    ``provenance.wall_time`` and ``provenance.from_store`` are
+    neutralised exactly as :meth:`SolveResult.fingerprint` does; the
+    caller's dict is not modified.
+    """
+    data = dict(envelope)
+    data["provenance"] = _fingerprint_provenance(envelope["provenance"])
+    return canonical_dumps(data)
+
+
+def _fingerprint_provenance(provenance: Mapping[str, Any]) -> dict[str, Any]:
+    neutral = dict(provenance)
+    neutral["wall_time"] = 0.0
+    neutral["from_store"] = False
+    return neutral
 
 
 #: The keys of :meth:`SolveResult.to_dict`.

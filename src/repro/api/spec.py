@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, ClassVar, Mapping, Optional
 
 from ..errors import InvalidParameterError
@@ -54,6 +54,10 @@ _SPEC_KINDS: dict[str, type["ProblemSpec"]] = {}
 def _coerce_float(name: str, value: Any, allow_none: bool = False) -> Any:
     if value is None and allow_none:
         return None
+    # float() parses bytes too, but a spec is JSON data: a relay forwards
+    # the spec dicts it parsed, so a bytes value must not parse.
+    if isinstance(value, (bytes, bytearray)):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     try:
         result = float(value)
     except (TypeError, ValueError) as error:
@@ -92,10 +96,20 @@ def _coerce_chirality(value: Any) -> int:
     return int(value)
 
 
+@dataclass(frozen=True)
 class ProblemSpec:
     """Common behaviour of all problem specs (serialisation and hashing)."""
 
     kind: ClassVar[str] = ""
+
+    #: Holds the canonical hash once :meth:`canonical_hash` computed it.
+    #: A container made at construction, so the frozen spec itself never
+    #: changes; not a wire field, not in :meth:`payload`, not compared.
+    #: A dict of strings, because the garbage collector does not track
+    #: one (a list would add a tracked object per spec).
+    _hash_memo: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -112,13 +126,15 @@ class ProblemSpec:
         caches from older runs stay valid byte for byte.
         """
         data: dict[str, Any] = {}
-        for field in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, field.name)
-            if field.name == "fault_model":
+        for spec_field in fields(self):
+            if not spec_field.init:
+                continue
+            value = getattr(self, spec_field.name)
+            if spec_field.name == "fault_model":
                 if value is None:
                     continue
                 value = value.to_dict()
-            data[field.name] = value
+            data[spec_field.name] = value
         return data
 
     def to_dict(self) -> dict[str, Any]:
@@ -138,9 +154,14 @@ class ProblemSpec:
 
         Equal specs hash equally regardless of construction path (direct,
         ``from_dict``, int-vs-float spellings), which makes the hash usable
-        as a result-cache key and as provenance.
+        as a result-cache key and as provenance.  Computed at most once
+        per spec object: the planner, the backend and the provenance all
+        ask for it.
         """
-        return spec_dict_hash(self.to_dict())
+        memo = self._hash_memo
+        if not memo:
+            memo["hash"] = spec_dict_hash(self.to_dict())
+        return memo["hash"]
 
     @staticmethod
     def seed_from_hash(canonical_hash: str) -> int:
@@ -177,7 +198,7 @@ class ProblemSpec:
     # -- parsing ---------------------------------------------------------------
     @classmethod
     def _from_payload(cls, payload: Mapping[str, Any]) -> "ProblemSpec":
-        allowed = {field.name for field in fields(cls)}  # type: ignore[arg-type]
+        allowed = {spec_field.name for spec_field in fields(cls) if spec_field.init}
         unknown = sorted(set(payload) - allowed)
         if unknown:
             raise InvalidParameterError(

@@ -46,10 +46,10 @@ import uuid
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
 from ..errors import InvalidParameterError
-from .result import SolveResult
+from .result import EncodedEnvelope, SolveResult
 from .spec import SCHEMA_VERSION, ProblemSpec, canonical_dumps
 
 __all__ = ["StoreKey", "StoreStats", "ResultStore"]
@@ -100,15 +100,15 @@ class StoreStats:
         )
 
 
-def _record_line(backend: str, spec_hash: str, envelope: dict[str, Any]) -> str:
-    """Encode one JSONL record (without its newline); ``_parse_record`` reads it."""
-    return canonical_dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "backend": backend,
-            "spec_hash": spec_hash,
-            "result": envelope,
-        }
+def _record_line(backend: str, spec_hash: str, text: str) -> str:
+    """One JSONL record (without its newline) around an envelope's canonical text.
+
+    The bytes of ``canonical_dumps`` of the record object, whose keys sort
+    as written here; ``_parse_record`` reads it.
+    """
+    return (
+        f'{{"backend":{canonical_dumps(backend)},"result":{text},'
+        f'"schema_version":{SCHEMA_VERSION},"spec_hash":{canonical_dumps(spec_hash)}}}'
     )
 
 
@@ -382,15 +382,24 @@ class ResultStore:
                 yield key, parsed[1]
 
     # -- writing ---------------------------------------------------------------
-    def put(self, backend: str, result: SolveResult) -> bool:
+    def put(self, backend: str, result: Union[SolveResult, EncodedEnvelope]) -> bool:
         """Record one solved envelope; False when the key is already stored.
 
         The envelope is stored with its run-specific ``from_store``
         provenance cleared, so what lands on disk is exactly the
-        cold-solve wire form.
+        cold-solve wire form.  Given as an :class:`EncodedEnvelope`, the
+        result is encoded here, once, and the caller can send the same
+        encoding on.
         """
-        clean = replace(result, provenance=replace(result.provenance, from_store=False))
-        return self.put_envelope(backend, clean.to_dict())
+        encoded = result if isinstance(result, EncodedEnvelope) else EncodedEnvelope(result)
+        provenance = encoded.envelope["provenance"]
+
+        def text() -> str:
+            if provenance["from_store"]:
+                return encoded.splice({**provenance, "from_store": False})
+            return encoded.text
+
+        return self._put_text(StoreKey(SCHEMA_VERSION, backend, provenance["spec_hash"]), text)
 
     def put_envelope(self, backend: str, envelope: dict[str, Any]) -> bool:
         """Record one wire-format envelope under a requested backend name."""
@@ -398,12 +407,20 @@ class ResultStore:
         if not isinstance(provenance, dict) or "spec_hash" not in provenance:
             raise InvalidParameterError("envelope has no provenance.spec_hash")
         key = StoreKey(SCHEMA_VERSION, backend, provenance["spec_hash"])
+        return self._put_text(key, lambda: canonical_dumps(envelope))
+
+    def _put_text(self, key: StoreKey, text: Callable[[], str]) -> bool:
+        """Buffer the record of one envelope's canonical text, unless stored.
+
+        ``text`` is called only for a new key, so a duplicate (every
+        seeded record when a fleet merges its workers' stores) is never
+        encoded.
+        """
         with self._write_lock:
             if key in self._index or key in self._pending_keys:
                 return False
-            line = _record_line(backend, key.spec_hash, envelope)
             self._pending_keys[key] = len(self._pending)
-            self._pending.append((key, line))
+            self._pending.append((key, _record_line(key.backend, key.spec_hash, text())))
             if len(self._pending) >= self.flush_every:
                 self.flush()
             return True
@@ -511,7 +528,7 @@ class ResultStore:
             envelope = self.get_envelope(key.backend, key.spec_hash)
             if envelope is None:
                 continue
-            lines.append(_record_line(key.backend, key.spec_hash, envelope))
+            lines.append(_record_line(key.backend, key.spec_hash, canonical_dumps(envelope)))
         compacted = self._publish_segment(lines) if lines else None
         removed = 0
         for segment in old_segments:
@@ -545,7 +562,7 @@ class ResultStore:
         count = 0
         with temp.open("w", encoding="utf-8") as handle:
             for key, envelope in self.scan():
-                handle.write(_record_line(key.backend, key.spec_hash, envelope))
+                handle.write(_record_line(key.backend, key.spec_hash, canonical_dumps(envelope)))
                 handle.write("\n")
                 count += 1
             handle.flush()

@@ -809,8 +809,14 @@ class AsyncShardRouter(AsyncLineServer):
             effective,
             lambda spec_hash: ring.lookup(shard_key(effective, spec_hash)),
         )
+        # Workers get the client's own spec dicts (parsed and hashed
+        # above), relayed as written rather than re-encoded.
+        client_specs = data["specs"]
+        assignments = []
         for partition in partitions:
             self._record_sweep(partition.node, swept=len(partition.specs))
+            pairs = [(client_specs[i], h) for i, h in zip(partition.positions, partition.hashes)]
+            assignments.append((partition.node, pairs))
         if op == SUBSCRIBE_OP:
             ack = subscribe_ack(request_id, total, unique, effective, fanout=len(partitions))
         else:
@@ -827,7 +833,7 @@ class AsyncShardRouter(AsyncLineServer):
                 fanout=len(partitions),
                 partitions=partition_rows,
             )
-        return (op, partitions, effective, request_id, total, unique, mode), ack
+        return (op, assignments, effective, request_id, total, unique, mode), ack
 
     def _run_shard_sweep(
         self,
@@ -842,7 +848,7 @@ class AsyncShardRouter(AsyncLineServer):
         The worker pools are strict request/response (a pooled
         connection must never carry a multi-record stream), so each
         partition opens its own JSON-Lines connection for the sweep's
-        lifetime.  Returns the ``(spec, hash)`` pairs still unanswered
+        lifetime.  Returns the ``(spec dict, hash)`` pairs still unanswered
         when the stream ends -- empty on success, the unfinished tail on
         a death (reported to the supervisor for a background respawn).
         """
@@ -867,7 +873,7 @@ class AsyncShardRouter(AsyncLineServer):
                     "op": SWEEP_OP,
                     "mode": "fold" if mode == "fold" else "stream",
                     "backend": effective,
-                    "specs": [spec.to_dict() for spec, _ in pairs],
+                    "specs": [spec_data for spec_data, _ in pairs],
                 }
                 conn.sendall((canonical_dumps(request) + "\n").encode("utf-8"))
                 raw = reader.readline()
@@ -940,13 +946,9 @@ class AsyncShardRouter(AsyncLineServer):
         from ..analysis.streaming import EnvelopeAggregate
         from ..experiments.manifest import digest_blob_hashes, digest_blobs
 
-        op, partitions, effective, request_id, total, unique, mode = job
+        op, assignments, effective, request_id, total, unique, mode = job
         started = time.perf_counter()
         state = _SweepState(self, bridge, request_id, op)
-        assignments: list[tuple[Any, list[tuple[Any, str]]]] = [
-            (partition.node, list(zip(partition.specs, partition.hashes)))
-            for partition in partitions
-        ]
         for worker_id, pairs in assignments:
             state.assign(worker_id, len(pairs))
         ring = self.ring
@@ -1007,10 +1009,10 @@ class AsyncShardRouter(AsyncLineServer):
             regrouped: dict[Any, list[tuple[Any, str]]] = {}
             for failed_worker, pairs in leftovers:
                 state.on_repartition(failed_worker, len(pairs))
-                for spec, spec_hash in pairs:
+                for spec_data, spec_hash in pairs:
                     candidates = ring.preference(shard_key(effective, spec_hash))
                     target = candidates[round_index % len(candidates)]
-                    regrouped.setdefault(target, []).append((spec, spec_hash))
+                    regrouped.setdefault(target, []).append((spec_data, spec_hash))
             assignments = sorted(regrouped.items(), key=lambda item: str(item[0]))
             for worker_id, pairs in assignments:
                 state.assign(worker_id, len(pairs))

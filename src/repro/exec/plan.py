@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids the import cycle
-    from ..api.result import SolveResult
+    from ..api.result import EncodedEnvelope, SolveResult
     from ..api.spec import ProblemSpec
 
 #: The cache/store key of one unique request: ``(backend name, spec hash)``.
@@ -235,15 +235,18 @@ class Planner:
 class PlanPartition:
     """One shard's slice of a partitioned sweep.
 
-    ``specs`` and ``hashes`` are parallel: ``hashes[i]`` is the canonical
-    hash of ``specs[i]``.  Partitions of one sweep are disjoint by spec
-    hash (the coordinator dedupes before assigning), so per-shard results
-    union without cross-shard dedup.
+    ``specs``, ``hashes`` and ``positions`` are parallel: ``hashes[i]``
+    is the canonical hash of ``specs[i]`` and ``positions[i]`` its index
+    in the partitioned input (so a relay can ship the spec as its client
+    wrote it).  Partitions of one sweep are disjoint by spec hash (the
+    coordinator dedupes before assigning), so per-shard results union
+    without cross-shard dedup.
     """
 
     node: Any
     specs: tuple["ProblemSpec", ...]
     hashes: tuple[str, ...]
+    positions: tuple[int, ...]
 
 
 def partition_specs(
@@ -264,20 +267,23 @@ def partition_specs(
     """
     total = 0
     seen: set[Key] = set()
-    buckets: dict[Any, tuple[list["ProblemSpec"], list[str]]] = {}
-    for spec in specs:
+    buckets: dict[Any, tuple[list["ProblemSpec"], list[str], list[int]]] = {}
+    for position, spec in enumerate(specs):
         total += 1
         spec_hash = spec.canonical_hash()
         key = (backend, spec_hash)
         if key in seen:
             continue
         seen.add(key)
-        bucket = buckets.setdefault(assign(spec_hash), ([], []))
+        bucket = buckets.setdefault(assign(spec_hash), ([], [], []))
         bucket[0].append(spec)
         bucket[1].append(spec_hash)
+        bucket[2].append(position)
     partitions = [
-        PlanPartition(node=node, specs=tuple(group), hashes=tuple(hashes))
-        for node, (group, hashes) in sorted(buckets.items(), key=lambda item: str(item[0]))
+        PlanPartition(node, tuple(group), tuple(hashes), tuple(positions))
+        for node, (group, hashes, positions) in sorted(
+            buckets.items(), key=lambda item: str(item[0])
+        )
     ]
     return partitions, total, len(seen)
 
@@ -310,7 +316,9 @@ class Completion:
     time from execution start to this completion's emission (serving
     latency, not backend wall time -- the latter lives in the result's
     provenance); planner-resolved tiers (``cache`` / ``store``) report
-    ~0.
+    ~0.  ``encoded`` is the result's envelope as the runner encoded it
+    to file a fresh result with its store, so a stream sends that text
+    on instead of encoding the result again.
     """
 
     key: Key
@@ -318,6 +326,7 @@ class Completion:
     result: Optional["SolveResult"] = None
     failure: Optional[SpecFailure] = None
     latency: float = 0.0
+    encoded: Optional["EncodedEnvelope"] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:

@@ -24,11 +24,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from .._version import __version__
-from ..api.result import SolveResult
-from ..api.spec import ProblemSpec, canonical_dumps
+from ..api.result import SolveResult, envelope_blob
+from ..api.spec import ProblemSpec
 from ..api.store import ResultStore
 
 __all__ = [
@@ -46,24 +46,6 @@ __all__ = [
 
 #: File name of the manifest inside a store directory.
 MANIFEST_NAME = "manifest.json"
-
-
-def envelope_blob(envelope: Mapping[str, Any]) -> str:
-    """The fingerprint blob of one wire envelope (:meth:`SolveResult.to_dict`).
-
-    The single blob builder: the object path below and every stream that
-    already holds an envelope dict (the worker's records, the router's
-    relayed records) hash the same bytes.  ``provenance.wall_time`` and
-    ``provenance.from_store`` are neutralised exactly as
-    :meth:`SolveResult.fingerprint` does; the caller's dict is not
-    modified.
-    """
-    data = dict(envelope)
-    provenance = dict(data["provenance"])
-    provenance["wall_time"] = 0.0
-    provenance["from_store"] = False
-    data["provenance"] = provenance
-    return canonical_dumps(data)
 
 
 def _fingerprint_blob(result: SolveResult) -> str:

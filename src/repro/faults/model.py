@@ -51,6 +51,8 @@ MAX_TRIALS = 10_000
 
 
 def _coerce_positive_float(name: str, value: Any, allow_zero: bool = False) -> float:
+    if isinstance(value, (bytes, bytearray)):  # float() parses bytes; JSON has none
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     try:
         result = float(value)
     except (TypeError, ValueError) as error:
@@ -145,6 +147,8 @@ class FaultModel:
         object.__setattr__(self, "trials", _coerce_int("trials", self.trials, 1, MAX_TRIALS))
         object.__setattr__(self, "mc_seed", _coerce_int("mc_seed", self.mc_seed, 0))
         jitter = self.jitter
+        if isinstance(jitter, (bytes, bytearray)):  # float() parses bytes; JSON has none
+            raise InvalidParameterError(f"jitter must be a number, got {jitter!r}")
         try:
             jitter = float(jitter)
         except (TypeError, ValueError) as error:

@@ -55,6 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from ..api.batch import RunnerBusy
+from ..api.result import EncodedEnvelope
 from ..api.spec import spec_from_dict
 from ..errors import ServiceUnavailableError
 from .frames import (
@@ -1086,12 +1087,7 @@ class AsyncReproServer(AsyncLineServer):
         one ``partial`` aggregate record, then a sweep summary carrying
         the ``fold_digest``).
         """
-        from ..experiments.manifest import (
-            blob_hash,
-            digest_blob_hashes,
-            digest_blobs,
-            envelope_blob,
-        )
+        from ..experiments.manifest import blob_hash, digest_blob_hashes, digest_blobs
 
         runner, plan, backend_obj, effective, request_id, mode = job
         started = time.perf_counter()
@@ -1125,22 +1121,24 @@ class AsyncReproServer(AsyncLineServer):
                     break
                 seq += 1
                 sources[completion.source] = sources.get(completion.source, 0) + 1
+                # One encoding per result -- the one the runner filed a
+                # fresh result with, else made here: the record (or the
+                # fold) and the fingerprint blob are both taken from it.
+                encoded = None
                 if completion.result is not None:
                     self.service.metrics.record(
                         effective, completion.source, completion.latency
                     )
+                    encoded = completion.encoded or EncodedEnvelope(completion.result)
                 else:
                     errors += 1
                     self.service.metrics.record_error(effective, completion.latency)
-                # One envelope dict per result: the record (or the fold)
-                # and the fingerprint blob are both built from it.
                 if fold is not None:
                     # Fold mode never ships per-spec records: results
                     # collapse into the aggregate plus one blob hash each.
-                    if completion.result is not None:
-                        envelope = completion.result.to_dict()
-                        fold.push(envelope)
-                        blob_hashes.append(blob_hash(envelope_blob(envelope)))
+                    if encoded is not None:
+                        fold.push(encoded.envelope)
+                        blob_hashes.append(blob_hash(encoded.blob))
                     else:
                         failures.append(
                             {
@@ -1150,9 +1148,9 @@ class AsyncReproServer(AsyncLineServer):
                             }
                         )
                     continue
-                record = completion_record(completion, request_id, seq - 1)
-                if completion.result is not None:
-                    blobs.append(envelope_blob(record["result"]))
+                record = completion_record(completion, request_id, seq - 1, encoded)
+                if encoded is not None:
+                    blobs.append(encoded.blob)
                 bridge.put(record)
         finally:
             stream.close()

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from ..api.result import EncodedEnvelope
 from ..api.spec import canonical_dumps
 from ..errors import ReproError
 from .frames import FORMAT_JSON, FORMATS, HELLO_OP
@@ -437,8 +438,14 @@ def sweep_ack(
     return ack
 
 
-def completion_record(completion: Any, request_id: Any, seq: int) -> dict[str, Any]:
-    """One streamed per-spec record, tagged with key, source tier and seq."""
+def completion_record(
+    completion: Any, request_id: Any, seq: int, encoded: Optional[EncodedEnvelope]
+) -> dict[str, Any]:
+    """One streamed per-spec record, tagged with key, source tier and seq.
+
+    ``encoded`` is the result's envelope encoding (None for a failed
+    spec); the ``result`` member is a :class:`Fragment` of its text.
+    """
     backend, spec_hash = completion.key
     record: dict[str, Any] = {
         "ok": completion.ok,
@@ -448,8 +455,8 @@ def completion_record(completion: Any, request_id: Any, seq: int) -> dict[str, A
         "served_by": completion.source,
         "latency_ms": round(completion.latency * 1e3, 3),
     }
-    if completion.result is not None:
-        record["result"] = completion.result.to_dict()
+    if encoded is not None:
+        record["result"] = Fragment(encoded.text, encoded.envelope)
     if completion.failure is not None:
         record["error"] = completion.failure.message
         record["error_type"] = completion.failure.error_type

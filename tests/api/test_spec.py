@@ -137,6 +137,29 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SearchProblem(distance="fast", visibility=0.2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("distance", b"1.5"),
+            ("visibility", bytearray(b"0.3")),
+            ("fault_model", {"kind": "crash-stop", "robot": "reference", "crash_time": b"2"}),
+            ("fault_model", {"jitter": b"0.1"}),
+        ],
+    )
+    def test_a_bytes_number_is_rejected(self, field, value):
+        # float() parses bytes, but a spec is JSON data, which has none
+        # (a binary-frame request can carry them).
+        data = {"schema_version": SCHEMA_VERSION, "kind": "search", "distance": 1.5}
+        data["visibility"] = 0.3
+        data[field] = value
+        with pytest.raises(InvalidParameterError, match="must be a number"):
+            spec_from_dict(data)
+
+    def test_a_bytes_member_coordinate_is_rejected(self):
+        members = [{"x": b"0", "y": 0.0}, {"x": 1.0, "y": 0.0}]
+        with pytest.raises(InvalidParameterError, match="x must be a number"):
+            GatheringProblem(members=members, visibility=0.3)
+
     def test_gathering_needs_two_members(self):
         with pytest.raises(InvalidParameterError):
             GatheringProblem(members=(GatheringMember(x=0.0, y=0.0),), visibility=0.3)

@@ -52,6 +52,20 @@ class TestPutGet:
         assert store.put("analytic", result) is False
         assert len(store) == 1
 
+    def test_a_duplicate_envelope_is_not_encoded(self, tmp_path, monkeypatch):
+        # A fleet merges every worker's store, seeded copies included,
+        # back into the primary: each duplicate must cost no encoding.
+        from repro.api import store as store_module
+
+        store = ResultStore(tmp_path)
+        envelope = _solved(0).to_dict()
+        assert store.put_envelope("analytic", envelope) is True
+        encoded = []
+        monkeypatch.setattr(store_module, "canonical_dumps", encoded.append)
+        assert store.put_envelope("analytic", envelope) is False
+        assert store.put("analytic", _solved(0)) is False
+        assert encoded == []
+
     def test_get_respects_backend_namespace(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("analytic", _solved(0))

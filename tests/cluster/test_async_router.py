@@ -15,6 +15,7 @@ import pytest
 from repro.api import SearchProblem, SolveResult, solve
 from repro.api.batch import BatchRunner
 from repro.cluster import AsyncShardRouter, ClusterSupervisor
+from repro.errors import ReproError
 from repro.experiments.manifest import fingerprint_digest
 from repro.service import ServiceClient, request_lines
 
@@ -78,6 +79,26 @@ class TestAsyncRouting:
         assert (
             SolveResult.from_dict(response["result"]).fingerprint()
             == solve(spec, backend=BACKEND).fingerprint()
+        )
+
+    def test_a_binary_sweep_of_a_bytes_number_is_refused_before_the_ack(
+        self, async_cluster
+    ):
+        # Binary frames carry bytes, which float() would parse; the
+        # router relays the client's spec dicts as JSON, which has no
+        # bytes, so the spec is refused where it is parsed.
+        spec = {"schema_version": 1, "kind": "search", "distance": b"1.5", "visibility": 0.3}
+        with ServiceClient(
+            async_cluster.host, async_cluster.port, binary=True
+        ) as client:
+            with pytest.raises(ReproError, match="distance must be a number"):
+                client.sweep([spec])
+            # The refusal is a plain error response: the connection serves on.
+            stream = client.sweep(_specs(3))
+            records = list(stream)
+        assert [record["ok"] for record in records] == [True] * 3
+        assert stream.summary["fingerprint_digest"] == fingerprint_digest(
+            BatchRunner(backend=BACKEND).run(_specs(3))[0]
         )
 
     def test_subscribe_fans_out_with_digest_parity(self, async_cluster):

@@ -23,6 +23,8 @@ import pytest
 
 from repro.api import SearchProblem, SolveResult, solve
 from repro.api.batch import BatchRunner
+from repro.api.result import EncodedEnvelope
+from repro.api.spec import canonical_dumps
 from repro.cluster import AsyncShardRouter, ClusterSupervisor
 from repro.cluster.router import _SweepState
 from repro.exec.plan import Completion, SpecFailure
@@ -90,12 +92,13 @@ def _worker_lines() -> list[tuple[str, bytes]]:
     for result in (search, faulted):
         key = ("auto", result.provenance.spec_hash)
         completion = Completion(key, "batch", result=result, latency=0.001234)
-        lines.append((key[1], encode_response(completion_record(completion, None, 3))))
+        record = completion_record(completion, None, 3, EncodedEnvelope(result))
+        lines.append((key[1], encode_response(record)))
     key = ("auto", "f" * 64)
     failure = SpecFailure(key, key[1], "InvalidParameterError", 'no "id" here, "seq":1')
     completion = Completion(key, "serial", failure=failure, latency=0.5)
     # A worker line that carries an id of its own: the relay drops it.
-    lines.append((key[1], encode_response(completion_record(completion, "worker-id", 9))))
+    lines.append((key[1], encode_response(completion_record(completion, "worker-id", 9, None))))
     return [(spec_hash, line.encode("utf-8")) for spec_hash, line in lines]
 
 
@@ -157,7 +160,12 @@ def test_a_line_that_does_not_split_still_relays_exactly():
 
 
 class _CorruptingWorker(AsyncReproServer):
-    """A worker daemon that corrupts the envelope of its first ok record."""
+    """A worker daemon that corrupts the envelope of its first ok record.
+
+    The record's ``result`` is a :class:`Fragment` of the envelope's
+    encoding, so the corrupted value is re-encoded into the fragment:
+    the corruption reaches the bytes the worker sends.
+    """
 
     def __init__(self, corrupt, **kwargs) -> None:
         self._corrupt = corrupt
@@ -171,7 +179,9 @@ class _CorruptingWorker(AsyncReproServer):
             def put(self, record):
                 if pending and record.get("op") == "completion" and record.get("ok"):
                     pending.clear()
-                    corrupt(record["result"])
+                    envelope = record["result"].value
+                    corrupt(envelope)
+                    record["result"] = Fragment(canonical_dumps(envelope), envelope)
                 return bridge.put(record)
 
         super().subscribe_pump(job, _Tap())

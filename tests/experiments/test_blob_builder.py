@@ -7,6 +7,12 @@ Pinned here against the definition -- ``json.dumps(result.fingerprint(),
 sort_keys=True, separators=(",", ":"), allow_nan=False)`` -- for every
 envelope kind, live and store-replayed, straight from ``to_dict()`` and
 after a JSON round trip (the router builds blobs from decoded records).
+
+A worker takes its blobs from :class:`repro.api.result.EncodedEnvelope`,
+which splices the same bytes from the envelope's one encoding and also
+gives the wire text and, around that text, the store line (a worker
+encodes each fresh result once for all three); all three are pinned
+against their definitions too.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from repro.api import (
     solve,
 )
 from repro.api.batch import BatchRunner
-from repro.api.result import check_envelope
+from repro.api.result import EncodedEnvelope, check_envelope
+from repro.api.store import _record_line
 from repro.experiments.manifest import (
     blob_hash,
     digest_blob_hashes,
@@ -38,8 +45,19 @@ from repro.faults import FaultModel
 from repro.workloads import spec_suite
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _reference_blob(result) -> str:
-    return json.dumps(result.fingerprint(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _canonical(result.fingerprint())
+
+
+def _reference_line(backend: str, envelope: dict) -> str:
+    """A store record line by its definition: the canonical record object."""
+    spec_hash = envelope["provenance"]["spec_hash"]
+    record = {"schema_version": 1, "backend": backend, "spec_hash": spec_hash, "result": envelope}
+    return _canonical(record)
 
 
 def _explicit_results() -> dict[str, list]:
@@ -178,3 +196,37 @@ def test_object_path_digests_go_through_the_same_builder(corpus):
         blob_hash(blob) for blob in blobs
     ]
     assert fold_digest(corpus) == digest_blob_hashes(blob_hash(blob) for blob in blobs)
+
+
+def test_the_encoder_gives_the_text_the_blob_and_the_store_line(corpus):
+    mismatched = []
+    for result in corpus:
+        envelope = result.to_dict()
+        backend = result.provenance.backend
+        encoded = EncodedEnvelope(result)
+        text = encoded.text
+        blob = encoded.blob  # spliced around the runs the text encoded
+        line = _record_line(backend, result.provenance.spec_hash, text)
+        if (
+            text != _canonical(envelope)
+            or blob != _reference_blob(result)
+            or line != _reference_line(backend, envelope)
+        ):
+            mismatched.append(result.provenance.spec_hash)
+    assert mismatched == []
+
+
+def test_a_replayed_result_is_stored_as_its_cold_envelope(corpus, tmp_path):
+    """``from_store`` is spliced back to false: the store line of a
+    replayed result is the one its cold solve wrote."""
+    store = ResultStore(tmp_path, flush_every=10**6)
+    replayed = [result for result in corpus if result.provenance.from_store]
+    live = [result for result in corpus if not result.provenance.from_store]
+    assert len(replayed) == len(live)
+    for result in replayed:
+        store.put(result.provenance.backend, EncodedEnvelope(result))
+    segment = store.flush()
+    expected = {
+        _reference_line(result.provenance.backend, result.to_dict()) for result in live
+    }
+    assert set(segment.read_text(encoding="utf-8").splitlines()) == expected
