@@ -104,7 +104,6 @@ def check_gate_is_live() -> None:
         config = LintConfig(
             taint_roots=("repro.api.spec",),
             protocol_module="repro.none",
-            frames_module="repro.none2",
             wire_modules=(),
             dispatchers=(),
         )

@@ -19,10 +19,11 @@ library: :class:`SearchProblem` (Theorem 1), :class:`RendezvousProblem`
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, ClassVar, Mapping, Optional
 
 from ..errors import InvalidParameterError
@@ -198,14 +199,35 @@ class ProblemSpec:
     # -- parsing ---------------------------------------------------------------
     @classmethod
     def _from_payload(cls, payload: Mapping[str, Any]) -> "ProblemSpec":
-        allowed = {spec_field.name for spec_field in fields(cls) if spec_field.init}
+        if not all(isinstance(name, str) for name in payload):
+            raise InvalidParameterError(
+                f"spec fields of kind {cls.kind!r} must be named by strings"
+            )
+        allowed, required = _init_fields(cls)
         unknown = sorted(set(payload) - allowed)
         if unknown:
             raise InvalidParameterError(
                 f"unknown field(s) {', '.join(unknown)} for spec kind {cls.kind!r}; "
                 f"allowed: {', '.join(sorted(allowed))}"
             )
+        missing = [name for name in required if name not in payload]
+        if missing:
+            raise InvalidParameterError(
+                f"missing required field(s) {', '.join(missing)} for spec kind {cls.kind!r}"
+            )
         return cls(**payload)
+
+
+@functools.cache
+def _init_fields(cls: type) -> tuple[frozenset[str], tuple[str, ...]]:
+    """A spec class's init field names, and those without a default."""
+    init = [spec_field for spec_field in fields(cls) if spec_field.init]
+    required = tuple(
+        spec_field.name
+        for spec_field in init
+        if spec_field.default is MISSING and spec_field.default_factory is MISSING
+    )
+    return frozenset(spec_field.name for spec_field in init), required
 
 
 def _resolve_components(
@@ -503,13 +525,20 @@ class GatheringProblem(ProblemSpec):
     horizon: float = 20000.0
 
     def __post_init__(self) -> None:
-        members = tuple(
-            member
-            if isinstance(member, GatheringMember)
-            else GatheringMember._from_payload(dict(member))
-            for member in self.members
-        )
-        object.__setattr__(self, "members", members)
+        if not isinstance(self.members, (list, tuple)):
+            raise InvalidParameterError(
+                f"members must be a list of member objects, got {type(self.members).__name__}"
+            )
+        members = []
+        for member in self.members:
+            if not isinstance(member, (GatheringMember, Mapping)):
+                raise InvalidParameterError(
+                    f"a gathering member must be an object, got {type(member).__name__}"
+                )
+            if not isinstance(member, GatheringMember):
+                member = GatheringMember._from_payload(member)
+            members.append(member)
+        object.__setattr__(self, "members", tuple(members))
         object.__setattr__(self, "visibility", _coerce_float("visibility", self.visibility))
         object.__setattr__(self, "horizon", _coerce_float("horizon", self.horizon))
         if len(self.members) < 2:
@@ -574,12 +603,11 @@ def spec_from_dict(data: Mapping[str, Any]) -> ProblemSpec:
             f"unsupported spec schema_version {version!r} (this library speaks {SCHEMA_VERSION})"
         )
     kind = payload.pop("kind", None)
-    try:
-        cls = _SPEC_KINDS[kind]
-    except KeyError as error:
+    cls = _SPEC_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise InvalidParameterError(
             f"unknown spec kind {kind!r}; available: {', '.join(spec_kinds())}"
-        ) from error
+        )
     return cls._from_payload(payload)
 
 

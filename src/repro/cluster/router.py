@@ -45,18 +45,11 @@ from typing import Any, Optional
 from ..api.spec import canonical_dumps
 from ..errors import ClusterError, ReproError
 from ..service.aio import AsyncLineServer
-from ..service.frames import (
-    FORMAT_BINARY,
-    HELLO_OP,
-    FrameError,
-    decode_payload,
-    encode_frame,
-    read_frame,
-)
 from ..service.metrics import ServiceMetrics
 from ..service.protocol import (
     CLUSTER_STATUS_OP,
     COMPLETION_OP,
+    HELLO_OP,
     PARTIAL_OP,
     SHUTDOWN_OP,
     SUBSCRIBE_OP,
@@ -64,6 +57,7 @@ from ..service.protocol import (
     SWEEP_OP,
     check_completion,
     decode_completion,
+    decode_relayed,
     error_response,
     hello_response,
     normalize_request,
@@ -112,29 +106,21 @@ class _InFlight:
         self.waiters = 0
 
 
-#: Worker-response keys the router forwards as opaque byte spans on the
-#: binary path instead of materialising them (``result`` dominates the
-#: response; everything around it is a handful of scalars).
-_RAW_KEYS = frozenset({"result"})
-
-
 class _WorkerPool:
-    """A small pool of persistent connections to one worker.
+    """A small pool of persistent JSON-Lines connections to one worker.
 
     Connections are tagged with the worker generation they were opened
     against; a respawned worker (new port, new process) invalidates
-    every pooled connection of older generations.  Every fresh
-    connection offers the binary ``hello`` upgrade and remembers what
-    was negotiated, so a worker that declines is spoken to in JSON.
+    every pooled connection of older generations.
     """
 
     def __init__(self, handle: WorkerHandle, timeout: float) -> None:
         self.handle = handle
         self.timeout = timeout
         self._lock = threading.Lock()
-        self._idle: list[tuple[int, socket.socket, Any, bool]] = []
+        self._idle: list[tuple[int, socket.socket, Any]] = []
 
-    def _connect(self) -> tuple[int, socket.socket, Any, bool]:
+    def _connect(self) -> tuple[int, socket.socket, Any]:
         generation = self.handle.generation
         host, port = self.handle.host, self.handle.port
         if host is None or port is None:
@@ -145,23 +131,7 @@ class _WorkerPool:
             raise _WorkerDied(
                 f"worker {self.handle.worker_id} refused a connection: {error}"
             ) from error
-        reader = conn.makefile("rb")
-        try:
-            hello = json.dumps({"op": HELLO_OP, "format": FORMAT_BINARY}, allow_nan=False)
-            conn.sendall((hello + "\n").encode("utf-8"))
-            raw = reader.readline()
-            answer = json.loads(raw.decode("utf-8")) if raw else {}
-            is_binary = bool(
-                isinstance(answer, dict)
-                and answer.get("ok")
-                and answer.get("format") == FORMAT_BINARY
-            )
-        except (OSError, ValueError) as error:
-            conn.close()
-            raise _WorkerDied(
-                f"worker {self.handle.worker_id} failed the hello round-trip: {error}"
-            ) from error
-        return generation, conn, reader, is_binary
+        return generation, conn, conn.makefile("rb")
 
     def request(self, data: dict[str, Any], timeout: Optional[float] = None) -> dict[str, Any]:
         """One round-trip: send a request object, read one response object.
@@ -169,29 +139,25 @@ class _WorkerPool:
         ``timeout`` caps this round-trip only (the pool default
         otherwise).  A timed-out read raises :class:`_WorkerTimeout`
         (busy worker, request failed), any other socket failure raises
-        :class:`_WorkerDied` (dead worker, caller may fail over).  On a
-        binary connection the response's ``result`` comes back as a
-        :class:`~repro.service.frames.Raw` span, ready to forward
-        without re-encoding.
+        :class:`_WorkerDied` (dead worker, caller may fail over).  A
+        solve answer's ``result`` comes back as a
+        :class:`~repro.service.protocol.Fragment` of the worker's own
+        text, ready to forward without re-encoding.
         """
         with self._lock:
             while self._idle:
-                generation, conn, reader, is_binary = self._idle.pop()
+                generation, conn, reader = self._idle.pop()
                 if generation == self.handle.generation:
                     break
                 conn.close()
             else:
                 conn = None
         if conn is None:
-            generation, conn, reader, is_binary = self._connect()
+            generation, conn, reader = self._connect()
         try:
             conn.settimeout(timeout if timeout is not None else self.timeout)
-            if is_binary:
-                conn.sendall(encode_frame(data))
-                payload = read_frame(reader)
-            else:
-                conn.sendall((canonical_dumps(data) + "\n").encode("utf-8"))
-                payload = reader.readline()
+            conn.sendall((canonical_dumps(data) + "\n").encode("utf-8"))
+            line = reader.readline()
         except TimeoutError as error:
             # The connection is desynced (an answer may still arrive);
             # it must not be reused.
@@ -200,27 +166,19 @@ class _WorkerPool:
                 f"worker {self.handle.worker_id} did not answer within "
                 f"{timeout if timeout is not None else self.timeout}s"
             ) from error
-        except FrameError as error:
-            conn.close()
-            raise _WorkerDied(
-                f"worker {self.handle.worker_id} answered a broken frame: {error}"
-            ) from error
         except OSError as error:
             conn.close()
             raise _WorkerDied(
                 f"worker {self.handle.worker_id} dropped mid-request: {error}"
             ) from error
-        if not payload:
+        if not line:
             conn.close()
             raise _WorkerDied(f"worker {self.handle.worker_id} closed mid-request")
         with self._lock:
-            self._idle.append((generation, conn, reader, is_binary))
+            self._idle.append((generation, conn, reader))
         try:
-            if is_binary:
-                response = decode_payload(payload, raw_keys=_RAW_KEYS)
-            else:
-                response = json.loads(payload.decode("utf-8"))
-        except (FrameError, json.JSONDecodeError, UnicodeDecodeError) as error:
+            response = decode_relayed(line)
+        except ValueError as error:  # JSONDecodeError and UnicodeDecodeError
             raise _WorkerDied(
                 f"worker {self.handle.worker_id} answered a malformed response: {error}"
             ) from error
@@ -230,7 +188,7 @@ class _WorkerPool:
 
     def close(self) -> None:
         with self._lock:
-            for _, conn, _, _ in self._idle:
+            for _, conn, _ in self._idle:
                 conn.close()
             self._idle.clear()
 

@@ -12,9 +12,7 @@ cheap to break silently:
   PR-4 kernel compiled-chunk cache shipped without this and returned
   corrupted trajectories under concurrency);
 * **wire schema** -- the protocol module, the daemon and the cluster
-  front speak one verb table and one response shape per verb, and the
-  binary tag codec must stay symmetric (the PR-3 ``inf``-in-JSON bug
-  was this class: one encoder silently emitting non-RFC output).
+  front speak one verb table and one response shape per verb.
 
 This package encodes those contracts once as static rules and checks
 every change against them mechanically:
@@ -22,7 +20,7 @@ every change against them mechanically:
 ========  ====================================================
  R001     nondeterminism inside the fingerprint-tainted set
  R002     unlocked writes to lock-guarded attributes
- R003     wire-schema drift between transports / codec asymmetry
+ R003     wire-schema drift between transports
  R004     ``json.dumps`` without ``allow_nan=False``
  R005     frozen-dataclass mutation outside ``__post_init__``
 ========  ====================================================

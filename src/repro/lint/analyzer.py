@@ -56,8 +56,6 @@ class LintConfig:
     #: Where the verb table lives (``*_OP`` constants + the literal core
     #: verbs of ``handle_request``).
     protocol_module: str = "repro.service.protocol"
-    #: The binary tag codec whose encode/decode/skip tag sets must agree.
-    frames_module: str = "repro.service.frames"
     #: Modules that build wire responses; R003 cross-checks the response
     #: key set of each verb across all of them.
     wire_modules: tuple[str, ...] = (

@@ -7,25 +7,22 @@ The schema they must agree on is extracted mechanically -- nothing
 here is a hardcoded list of today's verbs:
 
 * the **verb table**: every module-level ``*_OP = "literal"`` constant
-  in the protocol module (plus ``HELLO_OP`` from the frames module and
-  the literal core verbs ``handle_request`` compares), is the single
-  declaration point;
+  in the protocol module (plus the literal core verbs
+  ``handle_request`` compares), is the single declaration point;
 * **handled sets**: the verbs each dispatcher function actually
   compares against the request ``op``;
 * **response shapes**: for each verb, every ``{"ok": ..., "op": VERB,
   ...}`` dict literal built anywhere in the wire modules, with keys
   added later via ``response["key"] = ...`` in the same function
-  counted as optional;
-* the **binary tag codec**: the tag bytes ``_encode_into`` emits
-  versus the tags ``_decode_from`` and ``_skip_from`` accept.
+  counted as optional.
 
 Findings: a configured wire module or dispatcher that does not exist
 (a stale config would otherwise check nothing and stay silent), a
 dispatcher handling a verb that is not declared in the protocol module
 (verbs must be declared once, next to the wire documentation), a
-declared verb nothing handles or consumes anywhere (dead schema), two
-transports answering the same verb with different required response
-keys, and encode/decode/skip tag asymmetry in the frame codec.
+declared verb nothing handles or consumes anywhere (dead schema), and
+two transports answering the same verb with different required
+response keys.
 """
 
 from __future__ import annotations
@@ -196,45 +193,6 @@ def _compatible(shape: _ResponseShape, reference: _ResponseShape) -> bool:
     return not missing and not extra
 
 
-def _tag_bytes_emitted(function: ast.AST) -> set[int]:
-    """Tag bytes ``_encode_into`` appends (``out += b"X"`` and packs)."""
-    tags: set[int] = set()
-    for node in ast.walk(function):
-        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            if isinstance(node.value, ast.Constant) and isinstance(
-                node.value.value, bytes
-            ):
-                raw = node.value.value
-                if len(raw) == 1:
-                    tags.add(raw[0])
-    return tags
-
-
-def _tag_bytes_accepted(function: ast.AST, subject: str = "tag") -> set[int]:
-    """Tag bytes a decoder compares ``tag`` against (ints or b"X")."""
-    tags: set[int] = set()
-    for node in ast.walk(function):
-        if not isinstance(node, ast.Compare):
-            continue
-        involves = (
-            isinstance(node.left, ast.Name) and node.left.id == subject
-        ) or any(
-            isinstance(cmp, ast.Name) and cmp.id == subject for cmp in node.comparators
-        )
-        if not involves:
-            continue
-        candidates: list[ast.AST] = [node.left, *node.comparators]
-        for candidate in candidates:
-            if isinstance(candidate, (ast.Tuple, ast.List, ast.Set)):
-                candidates.extend(candidate.elts)
-            elif isinstance(candidate, ast.Constant):
-                if isinstance(candidate.value, int):
-                    tags.add(candidate.value)
-                elif isinstance(candidate.value, bytes) and len(candidate.value) == 1:
-                    tags.add(candidate.value[0])
-    return tags
-
-
 @register_rule
 class WireSchemaRule(Rule):
     id = "R003"
@@ -247,22 +205,14 @@ class WireSchemaRule(Rule):
         protocol = project.get(config.protocol_module)
         if protocol is None:
             return  # a tree without a protocol module has no wire schema
-        frames = project.get(config.frames_module)
-
-        constants: dict[str, str] = {}
-        declared_in_protocol: set[str] = set()
-        for module in (protocol, frames):
-            if module is None:
-                continue
-            found = _collect_op_constants(module)
-            constants.update(found)
-            declared_in_protocol.update(found.values())
+        constants = _collect_op_constants(protocol)
+        declared_in_protocol = set(constants.values())
         # Constants defined elsewhere still resolve comparisons/builders,
         # but do NOT count as declared -- that is exactly the drift this
         # rule exists to catch.
         foreign_constants: dict[str, str] = {}
         for module in project.iter_modules():
-            if module in (protocol, frames):
+            if module is protocol:
                 continue
             foreign_constants.update(_collect_op_constants(module))
         resolver = _VerbResolver({**foreign_constants, **constants})
@@ -375,47 +325,4 @@ class WireSchemaRule(Rule):
                     f"{reference.module.name}.{reference.function}(): "
                     f"{', '.join(detail) or 'incompatible key sets'}",
                     hint="answer every transport with the shared protocol builder",
-                )
-
-        # -- binary tag codec symmetry -----------------------------------------
-        if frames is not None:
-            yield from self._check_codec(frames)
-
-    def _check_codec(self, frames: ModuleInfo) -> Iterator[Finding]:
-        functions = _functions(frames)
-        encoder = functions.get("_encode_into")
-        decoder = functions.get("_decode_from")
-        skipper = functions.get("_skip_from")
-        if encoder is None or decoder is None:
-            return
-        emitted = _tag_bytes_emitted(encoder)
-        decoded = _tag_bytes_accepted(decoder)
-        if not emitted or not decoded:
-            return
-        for tag in sorted(emitted - decoded):
-            yield self.finding(
-                frames,
-                encoder,
-                f"frame tag {chr(tag)!r} (0x{tag:02x}) is encoded but "
-                "_decode_from does not accept it",
-                hint="add the tag to _decode_from (and _skip_from)",
-            )
-        for tag in sorted(decoded - emitted):
-            yield self.finding(
-                frames,
-                decoder,
-                f"frame tag {chr(tag)!r} (0x{tag:02x}) is decoded but "
-                "_encode_into never emits it",
-                hint="remove the dead tag or emit it from _encode_into",
-            )
-        if skipper is not None:
-            skipped = _tag_bytes_accepted(skipper)
-            for tag in sorted(decoded - skipped):
-                yield self.finding(
-                    frames,
-                    skipper,
-                    f"frame tag {chr(tag)!r} (0x{tag:02x}) is decoded but "
-                    "_skip_from cannot skip it (raw-span forwarding would "
-                    "desync)",
-                    hint="teach _skip_from the tag",
                 )

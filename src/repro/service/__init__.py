@@ -14,9 +14,8 @@ thread-safe :class:`~repro.api.batch.BatchRunner`:
   ``metrics`` verbs plus the streamed ``subscribe`` / ``sweep`` record
   shapes) shared by the daemon, the cluster front and ``repro solve
   --stdin-jsonl``;
-* :mod:`repro.service.frames`   -- the negotiated binary wire frames
-  (length-prefixed, hand-rolled tag codec) that skip JSON on the warm
-  path;
+* :mod:`repro.service.frames`   -- the negotiated binary wire frames:
+  the same JSON lines behind a 6-byte length-prefix header;
 * :mod:`repro.service.aio`      -- :class:`AsyncReproServer`: the
   ``repro serve`` TCP daemon on one asyncio event loop, which answers
   solves held in its hot cache or its runner's LRU in the loop itself,

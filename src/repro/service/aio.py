@@ -10,8 +10,8 @@ solver daemon (:class:`AsyncReproServer`) and the cluster front
 (:class:`~repro.cluster.router.AsyncShardRouter`):
 
 * both wire formats of the serving tier -- the JSON-Lines verbs of
-  :mod:`repro.service.protocol`, and the binary frames behind the
-  ``hello`` negotiation;
+  :mod:`repro.service.protocol`, and the same lines in the
+  length-prefixed binary frames behind the ``hello`` negotiation;
 * per-connection requests answered strictly in order (concurrency
   comes from concurrent connections): in the loop when a subclass's
   fast path can answer without waiting on anything, on a bounded
@@ -59,33 +59,31 @@ from ..api.result import EncodedEnvelope
 from ..api.spec import spec_from_dict
 from ..errors import ServiceUnavailableError
 from .frames import (
-    FORMAT_BINARY,
-    FORMAT_JSON,
-    FORMATS,
     HEADER_SIZE,
-    HELLO_OP,
     MAX_FRAME_BYTES,
     FrameError,
-    Raw,
     decode_header,
     decode_payload,
     encode_frame,
-    encode_payload,
-    materialize_raw,
 )
 from .protocol import (
+    FORMAT_BINARY,
+    FORMAT_JSON,
+    FORMATS,
+    HELLO_OP,
     SHUTDOWN_OP,
     SUBSCRIBE_OP,
     SWEEP_OP,
+    Fragment,
     completion_record,
     decode_request,
     encode_response,
     error_response,
     handle_request,
-    materialize_fragments,
     normalize_request,
     parse_subscribe,
     parse_sweep,
+    result_fragment,
     solve_response,
     subscribe_ack,
     subscribe_summary,
@@ -371,7 +369,7 @@ class AsyncLineServer:
         """
         raise NotImplementedError
 
-    def answer_fast(self, data: Any, fmt: str) -> Optional[dict[str, Any]]:
+    def answer_fast(self, data: Any) -> Optional[dict[str, Any]]:
         """Optional in-loop fast path; None falls through to the pool.
 
         Must never wait (no lock that another thread may hold, no I/O).
@@ -380,7 +378,7 @@ class AsyncLineServer:
         """
         return None
 
-    def after_answer(self, data: Any, response: dict[str, Any], fmt: str) -> None:
+    def after_answer(self, data: Any, response: dict[str, Any]) -> None:
         """In-loop hook after a pooled answer (hot-cache population)."""
 
     def subscribe_open(self, data: dict[str, Any], request_id: Any) -> tuple[Any, dict]:
@@ -583,8 +581,8 @@ class AsyncLineServer:
     def _end(self) -> None:  # loop thread
         self._busy -= 1
 
-    async def _answer(self, data: Any, fmt: str) -> dict[str, Any]:
-        fast = self.answer_fast(data, fmt)
+    async def _answer(self, data: Any) -> dict[str, Any]:
+        fast = self.answer_fast(data)
         if fast is not None:
             return fast
         handoff, self._handoff = self._handoff, None
@@ -600,7 +598,7 @@ class AsyncLineServer:
                 ServiceUnavailableError(f"server is shutting down: {error}"),
                 request_id,
             )
-        self.after_answer(data, response, fmt)
+        self.after_answer(data, response)
         return response
 
     # -- JSON lines ------------------------------------------------------------
@@ -610,7 +608,7 @@ class AsyncLineServer:
         response: dict[str, Any],
         bytes_in: int,
     ) -> bool:
-        encoded = (encode_response(materialize_raw(response)) + "\n").encode("utf-8")
+        encoded = (encode_response(response) + "\n").encode("utf-8")
         # Count before the write: a client that has received a response
         # must observe it in a metrics snapshot on another connection.
         self.transport.record_request(FORMAT_JSON, bytes_in, len(encoded))
@@ -660,7 +658,7 @@ class AsyncLineServer:
                     return
                 continue
             try:
-                response = await self._answer(data, FORMAT_JSON)
+                response = await self._answer(data)
                 sent = await self._send_json(writer, response, len(raw))
             finally:
                 self._end()
@@ -752,7 +750,7 @@ class AsyncLineServer:
                     return
                 continue
             try:
-                response = await self._answer(data, FORMAT_BINARY)
+                response = await self._answer(data)
                 sent = await self._send_frame(writer, response, bytes_in)
             finally:
                 self._end()
@@ -779,9 +777,7 @@ class AsyncLineServer:
     ) -> bool:
         """Write streamed records with one ``write`` + ``drain()``."""
         if fmt == FORMAT_BINARY:
-            encoded = b"".join(
-                encode_frame(materialize_fragments(record)) for record in records
-            )
+            encoded = b"".join(encode_frame(record) for record in records)
         else:
             encoded = "".join(
                 encode_response(record) + "\n" for record in records
@@ -882,7 +878,7 @@ class AsyncReproServer(AsyncLineServer):
     """The ``repro serve`` solver daemon: one event loop, one shared service.
 
     Answers every JSON-Lines verb of :mod:`repro.service.protocol` (a
-    frozen golden transcript pins the bytes), speaks the negotiated
+    frozen golden transcript pins the bytes), also inside the negotiated
     binary frames, and streams the ``subscribe`` and ``sweep`` verbs.
 
     A solve is answered on one of three paths, counted per daemon under
@@ -929,11 +925,12 @@ class AsyncReproServer(AsyncLineServer):
         **service_kwargs: Any,
     ) -> None:
         self.service = service if service is not None else SolverService(**service_kwargs)
-        # request shape -> [result dict, encoded payload or None, backend]:
-        # loop-confined (answer_fast/after_answer both run on the loop),
-        # so no lock.  The raw payload is encoded lazily, on the first
-        # binary hit.
-        self._hot: "collections.OrderedDict[Any, list]" = collections.OrderedDict()
+        # request shape -> (result Fragment, backend): loop-confined
+        # (answer_fast/after_answer both run on the loop), so no lock.
+        # Both transports splice the fragment's text.
+        self._hot: "collections.OrderedDict[Any, tuple[Fragment, str]]" = (
+            collections.OrderedDict()
+        )
         # Where each solve was answered; loop-confined like the hot cache.
         self._solve_paths = {"hot": 0, "lru": 0, "pool": 0, "busy": 0}
         super().__init__(
@@ -961,14 +958,14 @@ class AsyncReproServer(AsyncLineServer):
                 metrics["solve_paths"] = dict(self._solve_paths)
         return response
 
-    def answer_fast(self, data: Any, fmt: str) -> Optional[dict[str, Any]]:
+    def answer_fast(self, data: Any) -> Optional[dict[str, Any]]:
         """Answer a solve in the loop from the hot cache or the runner LRU.
 
         Both skip the thread hop and are ``served_by: "cache"`` with the
         bytes the pool path would send for the same LRU hit, so they
         change latency, not semantics.  The hot cache is asked first:
         it answers from the request's shape without decoding or hashing
-        it, and replays pre-encoded binary payloads.  On a hot miss the
+        it, and splices the result's pre-encoded text.  On a hot miss the
         spec is decoded and hashed once and the service asked for a
         resident result without waiting; a hit is promoted into the hot
         cache.  Everything else falls through (None) to the pool: an LRU
@@ -989,16 +986,7 @@ class AsyncReproServer(AsyncLineServer):
         self._solve_paths["hot"] += 1
         started = time.perf_counter()
         self._hot.move_to_end(key)
-        result_dict, raw, effective = entry
-        if fmt == FORMAT_BINARY:
-            if raw is None:
-                try:
-                    raw = entry[1] = encode_payload(result_dict)
-                except FrameError:  # pragma: no cover - results are JSON-safe
-                    return None
-            result: Any = Raw(raw)
-        else:
-            result = result_dict
+        result, effective = entry
         latency = time.perf_counter() - started
         self.service.metrics.record(effective, "cache", latency)
         return solve_response(result, "cache", latency, data.get("id"))
@@ -1023,27 +1011,27 @@ class AsyncReproServer(AsyncLineServer):
             self._handoff = (spec, spec_hash)
             return None
         self._solve_paths["lru"] += 1
-        result = served.result.to_dict()
+        result = result_fragment(served.result)
         effective = backend if backend is not None else self.service.backend
         self._hot_put(hot_key, result, effective)
         return solve_response(result, served.source, served.latency, request_id)
 
-    def after_answer(self, data: Any, response: dict[str, Any], fmt: str) -> None:
+    def after_answer(self, data: Any, response: dict[str, Any]) -> None:
         if not (response.get("ok") and response.get("op") == "solve"):
             return
         key = hot_solve_key(data)
         if key is None:
             return
         result = response.get("result")
-        if not isinstance(result, dict):
+        if type(result) is not Fragment:
             return
         effective = (
             data.get("backend") if isinstance(data, dict) else None
         ) or self.service.backend
         self._hot_put(key, result, effective)
 
-    def _hot_put(self, key: Any, result: dict[str, Any], effective: str) -> None:
-        self._hot[key] = [result, None, effective]
+    def _hot_put(self, key: Any, result: Fragment, effective: str) -> None:
+        self._hot[key] = (result, effective)
         self._hot.move_to_end(key)
         while len(self._hot) > self.HOT_CACHE_CAP:
             self._hot.popitem(last=False)

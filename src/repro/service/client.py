@@ -11,7 +11,11 @@ negotiated binary framing:
 ``binary=True`` sends the ``hello`` upgrade first and falls back to
 JSON transparently when the server declines (an old daemon answers
 ``hello`` with an unknown-op error -- the client notices and keeps
-speaking JSON, so new clients work against old servers too).
+speaking JSON, so new clients work against old servers too).  Both
+formats carry the same JSON text; a frame only adds a length prefix.
+A request JSON cannot carry (``bytes``, NaN, an infinity) raises
+:class:`~repro.service.frames.FrameError` before anything is written,
+and the connection stays usable.
 
 Any wire-level failure -- a read timeout, an EOF mid-response, a frame
 that does not decode -- raises :class:`~repro.errors.ServiceProtocolError`
@@ -36,18 +40,24 @@ import json
 import socket
 from typing import Any, Iterator, Optional
 
-from ..api.spec import canonical_dumps
 from ..errors import ReproError, ServiceProtocolError
 from .frames import (
+    HEADER_SIZE,
+    FrameError,
+    decode_payload,
+    encode_payload,
+    pack_frame,
+    read_frame,
+)
+from .protocol import (
+    COMPLETION_OP,
     FORMAT_BINARY,
     FORMAT_JSON,
     HELLO_OP,
-    FrameError,
-    decode_payload,
-    encode_frame,
-    read_frame,
+    SUBSCRIBE_OP,
+    SUMMARY_OP,
+    SWEEP_OP,
 )
-from .protocol import COMPLETION_OP, SUBSCRIBE_OP, SUMMARY_OP, SWEEP_OP
 
 __all__ = ["ServiceClient", "SubscribeStream", "request_lines"]
 
@@ -121,10 +131,8 @@ class ServiceClient:
     def _write(self, data: dict[str, Any]) -> None:
         if self._closed:
             raise ServiceProtocolError("client connection is closed")
-        if self.format == FORMAT_BINARY:
-            encoded = encode_frame(data)
-        else:
-            encoded = (canonical_dumps(data) + "\n").encode("utf-8")
+        payload = encode_payload(data)
+        encoded = pack_frame(payload) if self.format == FORMAT_BINARY else payload + b"\n"
         try:
             self._stream.write(encoded)
             self._stream.flush()
@@ -171,7 +179,7 @@ class ServiceClient:
             raise self._broken("read failed, connection closed", error) from error
         if payload is None:
             raise self._broken("server closed the connection mid-request", None)
-        self.bytes_received += 6 + len(payload)
+        self.bytes_received += HEADER_SIZE + len(payload)
         try:
             response = decode_payload(payload)
         except FrameError as error:

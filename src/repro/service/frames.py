@@ -2,8 +2,7 @@
 
 The JSON-Lines protocol (:mod:`repro.service.protocol`) stays the
 default and the only thing an unsuspecting client ever sees.  A client
-that wants the warm path to skip JSON entirely sends one ordinary JSON
-line first::
+that wants length-prefixed framing sends one ordinary JSON line first::
 
     {"op": "hello", "format": "binary"}
 
@@ -11,40 +10,31 @@ and, on an ``ok`` answer confirming ``"format": "binary"``, both
 directions of that connection switch to binary frames::
 
     header   6 B   magic (1 B), version (1 B), payload length (u32 BE)
-    payload        one envelope dict in the tag codec below
+    payload        the UTF-8 bytes of the JSON line the same message
+                   gets on the JSON-Lines wire, minus the newline
 
-The payload codec is deliberately tiny -- msgpack is not a dependency
-of this project, so the envelope dicts are encoded with a hand-rolled
-tagged format covering exactly the JSON value model (plus ``bytes``)::
+So there is one codec: :func:`encode_payload` is
+:func:`~repro.service.protocol.encode_response` (sorted keys, compact
+separators, :class:`~repro.service.protocol.Fragment` values spliced
+verbatim) and :func:`decode_payload` a JSON decode.  A pre-encoded
+result travels every hop as the same text.  The header is version 2;
+version 1 carried a hand-rolled tag codec, and a version-1 peer gets a
+clean header error instead of a misparse.
 
-    'N'                    None          'T' / 'F'   booleans
-    'i' + int64 BE         integers      'f' + float64 BE   floats
-    's' + u32 + utf-8      strings       'y' + u32 + raw    bytes
-    'l' + u32 + items      lists
-    'd' + u32 + pairs      dicts (string keys, sorted -- encoding is
-                           deterministic, like the JSON side's
-                           ``sort_keys=True``)
-
-Two properties the serving tier leans on:
-
-* **forward-without-re-encoding** -- :func:`decode_payload` can return
-  selected top-level dict values as opaque :class:`Raw` byte spans, and
-  :func:`encode_payload` splices :class:`Raw` values back verbatim.
-  The shard router uses this to forward a worker's ``result`` without
-  ever materialising it, and the daemon's hot cache replays a
-  pre-encoded result for repeat requests.
-* **clean failure** -- a malformed *payload* raises :class:`FrameError`
-  from the codec, which a transport answers with an error frame while
-  the connection survives; only a corrupted *header* (wrong magic,
-  absurd length) is unsyncable and closes the connection.
+A payload that is not JSON raises :class:`FrameError`, which a
+transport answers with an error frame while the connection survives;
+only a corrupted *header* (wrong magic or version, absurd length) is
+unsyncable and closes the connection.
 """
 
 from __future__ import annotations
 
+import json
 import struct
-from typing import Any, FrozenSet, Optional
+from typing import Any, Optional
 
 from ..errors import ReproError
+from .protocol import FORMAT_BINARY, FORMAT_JSON, FORMATS, HELLO_OP, encode_response
 
 __all__ = [
     "FORMAT_BINARY",
@@ -54,261 +44,49 @@ __all__ = [
     "HEADER_SIZE",
     "HELLO_OP",
     "MAX_FRAME_BYTES",
-    "Raw",
     "decode_header",
     "decode_payload",
     "encode_frame",
     "encode_payload",
-    "materialize_raw",
     "pack_frame",
     "read_frame",
 ]
 
-#: The negotiation verb and the formats it can answer.
-HELLO_OP = "hello"
-FORMAT_JSON = "json"
-FORMAT_BINARY = "binary"
-FORMATS = (FORMAT_JSON, FORMAT_BINARY)
-
 _MAGIC = 0xB6
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("!BBI")
+
+#: Size of the fixed frame header in bytes (magic, version, length).
+HEADER_SIZE = _HEADER.size
 
 #: Upper bound on one frame's payload; anything bigger is a corrupted
 #: header, not a request (the largest real envelope is a metrics
 #: document, well under a megabyte).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-_I64 = struct.Struct("!q")
-_F64 = struct.Struct("!d")
-_U32 = struct.Struct("!I")
-
 
 class FrameError(ReproError):
     """A binary frame or its payload could not be encoded or decoded."""
 
 
-class Raw:
-    """A pre-encoded payload span, spliced verbatim by the encoder."""
+def encode_payload(message: dict[str, Any]) -> bytes:
+    """One message as payload bytes: its JSON line, UTF-8, no newline.
 
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-
-    def decode(self) -> Any:
-        """Materialise the span back into Python objects."""
-        return decode_payload(self.data)
-
-
-# -- payload codec -------------------------------------------------------------
-
-
-def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, Raw):
-        out += value.data
-    elif isinstance(value, int):
-        out += b"i"
-        try:
-            out += _I64.pack(value)
-        except struct.error as error:
-            raise FrameError(f"integer out of int64 range: {value!r}") from error
-    elif isinstance(value, float):
-        out += b"f"
-        out += _F64.pack(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s"
-        out += _U32.pack(len(raw))
-        out += raw
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        out += b"y"
-        out += _U32.pack(len(raw))
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out += b"l"
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        out += b"d"
-        out += _U32.pack(len(value))
-        try:
-            keys = sorted(value)
-        except TypeError as error:
-            raise FrameError("dict keys must all be strings") from error
-        for key in keys:
-            if not isinstance(key, str):
-                raise FrameError(f"dict keys must be strings, got {type(key).__name__}")
-            raw = key.encode("utf-8")
-            out += b"s"
-            out += _U32.pack(len(raw))
-            out += raw
-            _encode_into(out, value[key])
-    else:
-        raise FrameError(f"cannot encode {type(value).__name__} in a frame payload")
-
-
-def encode_payload(value: Any) -> bytes:
-    """Encode one envelope value into payload bytes (deterministic)."""
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
-
-
-def _need(data: bytes, pos: int, count: int) -> None:
-    if pos + count > len(data):
-        raise FrameError("truncated frame payload")
-
-
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
-    _need(data, pos, 1)
-    tag = data[pos]
-    pos += 1
-    if tag == 0x4E:  # 'N'
-        return None, pos
-    if tag == 0x54:  # 'T'
-        return True, pos
-    if tag == 0x46:  # 'F'
-        return False, pos
-    if tag == 0x69:  # 'i'
-        _need(data, pos, 8)
-        return _I64.unpack_from(data, pos)[0], pos + 8
-    if tag == 0x66:  # 'f'
-        _need(data, pos, 8)
-        return _F64.unpack_from(data, pos)[0], pos + 8
-    if tag == 0x73:  # 's'
-        _need(data, pos, 4)
-        (length,) = _U32.unpack_from(data, pos)
-        pos += 4
-        _need(data, pos, length)
-        try:
-            text = bytes(data[pos : pos + length]).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise FrameError(f"invalid utf-8 in frame string: {error}") from error
-        return text, pos + length
-    if tag == 0x79:  # 'y'
-        _need(data, pos, 4)
-        (length,) = _U32.unpack_from(data, pos)
-        pos += 4
-        _need(data, pos, length)
-        return bytes(data[pos : pos + length]), pos + length
-    if tag == 0x6C:  # 'l'
-        _need(data, pos, 4)
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == 0x64:  # 'd'
-        _need(data, pos, 4)
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        obj: dict[str, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            if not isinstance(key, str):
-                raise FrameError("frame dict key is not a string")
-            obj[key], pos = _decode_from(data, pos)
-        return obj, pos
-    raise FrameError(f"unknown frame payload tag 0x{tag:02x}")
-
-
-def _skip_from(data: bytes, pos: int) -> int:
-    """Advance past one encoded value without materialising it."""
-    _need(data, pos, 1)
-    tag = data[pos]
-    pos += 1
-    if tag in (0x4E, 0x54, 0x46):
-        return pos
-    if tag in (0x69, 0x66):
-        _need(data, pos, 8)
-        return pos + 8
-    if tag in (0x73, 0x79):
-        _need(data, pos, 4)
-        (length,) = _U32.unpack_from(data, pos)
-        pos += 4
-        _need(data, pos, length)
-        return pos + length
-    if tag == 0x6C:
-        _need(data, pos, 4)
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        for _ in range(count):
-            pos = _skip_from(data, pos)
-        return pos
-    if tag == 0x64:
-        _need(data, pos, 4)
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        for _ in range(count):
-            pos = _skip_from(data, pos)
-            pos = _skip_from(data, pos)
-        return pos
-    raise FrameError(f"unknown frame payload tag 0x{tag:02x}")
-
-
-def decode_payload(data: bytes, raw_keys: Optional[FrozenSet[str]] = None) -> Any:
-    """Decode payload bytes back into Python objects.
-
-    With ``raw_keys`` and a top-level dict payload, values under those
-    keys come back as :class:`Raw` spans instead of materialised
-    objects -- the zero-re-encoding path for forwarding and caching.
+    Raises :class:`FrameError` for a value JSON cannot carry (``bytes``,
+    NaN or an infinity) before anything reaches the wire.
     """
-    if raw_keys and data[:1] == b"d":
-        (count,) = _U32.unpack_from(data, 1)
-        pos = 5
-        obj: dict[str, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            if not isinstance(key, str):
-                raise FrameError("frame dict key is not a string")
-            if key in raw_keys:
-                end = _skip_from(data, pos)
-                obj[key] = Raw(bytes(data[pos:end]))
-                pos = end
-            else:
-                obj[key], pos = _decode_from(data, pos)
-        if pos != len(data):
-            raise FrameError("trailing bytes after frame payload")
-        return obj
-    value, pos = _decode_from(data, 0)
-    if pos != len(data):
-        raise FrameError("trailing bytes after frame payload")
-    return value
+    try:
+        return encode_response(message).encode("utf-8")
+    except (TypeError, ValueError) as error:
+        raise FrameError(f"cannot encode the message: {error}") from error
 
 
-def materialize_raw(response: Any) -> Any:
-    """A copy of a response dict with top-level :class:`Raw` spans decoded.
-
-    The JSON side of a transport calls this before ``json.dumps`` on
-    responses that crossed the binary fast path (e.g. a router
-    forwarding a binary worker's answer to a JSON client).
-    """
-    if not isinstance(response, dict):
-        return response
-    if not any(isinstance(value, Raw) for value in response.values()):
-        return response
-    return {
-        key: value.decode() if isinstance(value, Raw) else value
-        for key, value in response.items()
-    }
-
-
-# -- framing -------------------------------------------------------------------
-
-
-#: Size of the fixed frame header in bytes (magic, version, length).
-HEADER_SIZE = _HEADER.size
+def decode_payload(data: bytes) -> Any:
+    """Decode payload bytes (one JSON text) back into Python objects."""
+    try:
+        return json.loads(data)
+    except ValueError as error:  # JSONDecodeError and UnicodeDecodeError
+        raise FrameError(f"undecodable frame payload: {error}") from error
 
 
 def pack_frame(payload: bytes) -> bytes:
@@ -335,9 +113,9 @@ def decode_header(header: bytes) -> int:
     return length
 
 
-def encode_frame(value: Any) -> bytes:
-    """One envelope value as a complete wire frame."""
-    return pack_frame(encode_payload(value))
+def encode_frame(message: dict[str, Any]) -> bytes:
+    """One message as a complete wire frame."""
+    return pack_frame(encode_payload(message))
 
 
 def read_frame(stream: Any) -> Optional[bytes]:
@@ -347,10 +125,10 @@ def read_frame(stream: Any) -> Optional[bytes]:
     :class:`FrameError` for a corrupted header or a mid-frame EOF --
     both unsyncable, the connection must close.
     """
-    header = stream.read(_HEADER.size)
+    header = stream.read(HEADER_SIZE)
     if not header:
         return None
-    if len(header) < _HEADER.size:
+    if len(header) < HEADER_SIZE:
         raise FrameError("connection closed mid-frame-header")
     length = decode_header(header)
     payload = stream.read(length)

@@ -31,10 +31,9 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from ..api.result import EncodedEnvelope
+from ..api.result import EncodedEnvelope, SolveResult
 from ..api.spec import canonical_dumps
 from ..errors import ReproError
-from .frames import FORMAT_JSON, FORMATS, HELLO_OP
 from .service import SolverService
 
 __all__ = [
@@ -42,11 +41,12 @@ __all__ = [
     "check_completion",
     "completion_record",
     "decode_completion",
+    "decode_relayed",
     "decode_request",
     "encode_response",
     "error_response",
-    "materialize_fragments",
     "rejected_completion",
+    "result_fragment",
     "restamp_completion",
     "solve_response",
     "handle_request",
@@ -62,6 +62,10 @@ __all__ = [
     "sweep_summary",
     "CLUSTER_STATUS_OP",
     "COMPLETION_OP",
+    "FORMAT_BINARY",
+    "FORMAT_JSON",
+    "FORMATS",
+    "HELLO_OP",
     "PARTIAL_OP",
     "SHUTDOWN_OP",
     "SUBSCRIBE_OP",
@@ -73,6 +77,14 @@ __all__ = [
 #: The daemon-level verb; :func:`handle_request` answers it but leaves
 #: actually stopping the server to the transport layer.
 SHUTDOWN_OP = "shutdown"
+
+#: The wire-format negotiation verb and the formats it can answer: a
+#: confirmed ``binary`` switches the rest of the connection to the
+#: length-prefixed frames of :mod:`repro.service.frames`.
+HELLO_OP = "hello"
+FORMAT_JSON = "json"
+FORMAT_BINARY = "binary"
+FORMATS = (FORMAT_JSON, FORMAT_BINARY)
 
 #: Router-only verb: one document with the shard table, health and
 #: restart counters (the ``repro cluster status`` CLI reads it).  Only
@@ -137,8 +149,9 @@ def solve_response(
 ) -> dict[str, Any]:
     """The wire shape of an answered solve -- defined exactly once.
 
-    ``result`` is the envelope dict (or the transport's pre-encoded form
-    of it), ``latency`` seconds from arrival to answer.
+    ``result`` is the envelope, as a :class:`Fragment` (see
+    :func:`result_fragment`) or a dict, ``latency`` seconds from arrival
+    to answer.
     """
     response: dict[str, Any] = {
         "ok": True,
@@ -217,7 +230,9 @@ def handle_request(
 
     ``parsed`` is a solve request's spec and canonical hash when the
     caller already decoded and hashed them (the daemon's event loop
-    does), so neither happens twice.
+    does), so neither happens twice.  A solve answer's ``result`` is a
+    :class:`Fragment`: :func:`encode_response` splices its text, and
+    its ``value`` is the envelope dict.
     """
     if not isinstance(data, dict):
         return _error_response(
@@ -266,7 +281,12 @@ def _solve_response(
         raise ReproError('"backend" must be a string backend name')
     spec, spec_hash = parsed if parsed is not None else (spec_from_dict(spec_data), None)
     served = service.request(spec, backend=backend, spec_hash=spec_hash)
-    return solve_response(served.result.to_dict(), served.source, served.latency, request_id)
+    return solve_response(
+        result_fragment(served.result, served.encoded),
+        served.source,
+        served.latency,
+        request_id,
+    )
 
 
 def handle_line(service: SolverService, line: str) -> dict[str, Any]:
@@ -280,10 +300,11 @@ def handle_line(service: SolverService, line: str) -> dict[str, Any]:
 class Fragment:
     """A pre-encoded JSON value that :func:`encode_response` splices verbatim.
 
-    The JSON-Lines analogue of :class:`~repro.service.frames.Raw`.
     ``text`` is the value as :func:`encode_response` encoded it (sorted
     keys, compact separators), so a line spliced from it is
     byte-identical to encoding ``value``, its decoded form, afresh.
+    Binary frames carry the same line, so one fragment serves both
+    transports.
     """
 
     __slots__ = ("text", "value")
@@ -291,6 +312,21 @@ class Fragment:
     def __init__(self, text: str, value: Any) -> None:
         self.text = text
         self.value = value
+
+
+def result_fragment(
+    result: SolveResult, encoded: Optional[EncodedEnvelope] = None
+) -> Fragment:
+    """A solve answer's ``result`` member: the envelope, encoded once.
+
+    ``encoded`` is the encoding the run made when it filed a fresh
+    result with the store; without one the envelope is built and
+    encoded here.
+    """
+    if encoded is None:
+        envelope = result.to_dict()
+        return Fragment(canonical_dumps(envelope), envelope)
+    return Fragment(encoded.text, encoded.envelope)
 
 
 def encode_response(response: dict[str, Any]) -> str:
@@ -318,21 +354,11 @@ def encode_response(response: dict[str, Any]) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def materialize_fragments(response: dict[str, Any]) -> dict[str, Any]:
-    """A response with top-level :class:`Fragment` values decoded (binary frames)."""
-    if Fragment not in map(type, response.values()):
-        return response
-    return {
-        key: value.value if type(value) is Fragment else value
-        for key, value in response.items()
-    }
-
-
 # -- the subscribe stream ------------------------------------------------------
 #
 # Every record shape of a subscription is built here, so the daemon,
 # the cluster front and the client all agree on the wire format (JSON
-# lines and binary frames carry the same dicts).
+# lines and binary frames carry the same lines).
 
 
 def _parse_spec_suite(data: dict[str, Any], verb: str) -> tuple[list[Any], Optional[str]]:
@@ -465,29 +491,31 @@ def completion_record(
     return record
 
 
-# -- relaying a worker's completion records ------------------------------------
+# -- relaying a worker's records -----------------------------------------------
 #
 # The cluster front forwards each worker record with only ``seq``, ``id``
-# and ``shard`` rewritten.  The record's ``result`` envelope travels as
-# the worker's own bytes: :func:`completion_record` puts it under
-# ``result``, and :func:`encode_response` sorts that key directly before
-# ``seq``.
+# and ``shard`` rewritten, and a routed solve answer with only its ``id``.
+# The ``result`` envelope travels as the worker's own bytes:
+# :func:`encode_response` sorts ``result`` directly before ``seq`` in a
+# completion record and directly before ``served_by`` in a solve answer.
 
 _RESULT_MEMBER = b'"result":'
 _SEQ_MEMBER = b',"seq":'
+_SERVED_BY_MEMBER = b',"served_by":'
 
 
-def decode_completion(line: bytes) -> Any:
-    """Decode one worker completion line, keeping ``result`` pre-encoded.
+def decode_relayed(line: bytes, next_member: bytes = _SERVED_BY_MEMBER) -> Any:
+    """Decode one worker line, keeping ``result`` pre-encoded.
 
-    The ``result`` span becomes a :class:`Fragment` (decoded once, for
-    validation); the rest of the record is decoded around it.  A line
-    that does not split that way decodes as plain JSON, and the relay
-    then re-encodes its result.  Raises ``ValueError`` for a line that
-    is not JSON.
+    ``next_member`` is the member that follows ``result`` in the line
+    (a solve answer's ``served_by`` by default).  The ``result`` span
+    becomes a :class:`Fragment` (decoded once, for validation); the rest
+    of the line is decoded around it.  A line that does not split that
+    way decodes as plain JSON, and the relay then re-encodes its result.
+    Raises ``ValueError`` for a line that is not JSON.
     """
     start = line.find(_RESULT_MEMBER)
-    end = line.rfind(_SEQ_MEMBER)
+    end = line.rfind(next_member)
     if 0 < start < end:
         try:
             text = line[start + len(_RESULT_MEMBER) : end].decode("utf-8")
@@ -500,6 +528,11 @@ def decode_completion(line: bytes) -> Any:
                 head["result"] = Fragment(text, value)
                 return head
     return json.loads(line)
+
+
+def decode_completion(line: bytes) -> Any:
+    """:func:`decode_relayed` for one streamed completion record."""
+    return decode_relayed(line, _SEQ_MEMBER)
 
 
 def check_completion(record: dict[str, Any], spec_hash: str) -> Optional[dict[str, Any]]:

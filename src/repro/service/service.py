@@ -39,7 +39,7 @@ from typing import Any, NamedTuple, Optional, Union
 
 from ..api.batch import BatchRunner
 from ..api.spec import ProblemSpec
-from ..api.result import SolveResult
+from ..api.result import EncodedEnvelope, SolveResult
 from ..api.store import ResultStore
 from ..errors import InvalidParameterError, ServiceUnavailableError
 from .metrics import ServiceMetrics
@@ -56,16 +56,20 @@ class ServedResult(NamedTuple):
     source: str
     #: Seconds from request arrival to answer.
     latency: float
+    #: The envelope's one encoding, when the run filed a fresh result
+    #: with the store (None for cache and store answers).
+    encoded: Optional[EncodedEnvelope] = None
 
 
 class _InFlight:
     """Rendezvous point between one leader solve and its followers."""
 
-    __slots__ = ("event", "result", "source", "error", "waiters")
+    __slots__ = ("event", "result", "encoded", "source", "error", "waiters")
 
     def __init__(self) -> None:
         self.event = threading.Event()
         self.result: Optional[SolveResult] = None
+        self.encoded: Optional[EncodedEnvelope] = None
         self.source: str = "solve"
         self.error: Optional[BaseException] = None
         #: Followers currently coalesced onto this solve (under the
@@ -255,7 +259,7 @@ class SolverService:
                     self.metrics.record_error(effective, latency)
                 raise entry.error
             self.metrics.record(effective, "coalesced", latency)
-            return ServedResult(entry.result, "coalesced", latency)
+            return ServedResult(entry.result, "coalesced", latency, entry.encoded)
 
         try:
             if not self._slots.acquire(timeout=self.admission_timeout):
@@ -264,11 +268,15 @@ class SolverService:
                     f"no solve slot freed within {self.admission_timeout}s, "
                     "request refused"
                 )
+            completions: list[Any] = []
             try:
-                results, stats = self.runner.run([spec], backend=effective)
+                results, stats = self.runner.run(
+                    [spec], backend=effective, on_completion=completions.append
+                )
             finally:
                 self._slots.release()
             entry.result = results[0]
+            entry.encoded = completions[0].encoded
             if stats.cache_hits:
                 entry.source = "cache"
             elif stats.solved_from_store:
@@ -290,7 +298,7 @@ class SolverService:
 
         latency = time.perf_counter() - started
         self.metrics.record(effective, entry.source, latency)
-        return ServedResult(entry.result, entry.source, latency)
+        return ServedResult(entry.result, entry.source, latency, entry.encoded)
 
     # -- introspection ---------------------------------------------------------
     def health(self) -> dict[str, Any]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -115,6 +116,36 @@ class TestParsing:
     def test_invalid_json_text_rejected(self):
         with pytest.raises(InvalidParameterError, match="invalid spec JSON"):
             spec_from_json("{not json")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"kind": []}, "unknown spec kind"),
+            ({"kind": {"search": 1}}, "unknown spec kind"),
+            ({"kind": "search"}, "missing required field(s) visibility"),
+            ({"kind": "rendezvous", "distance": 1.0}, "missing required field(s) visibility"),
+            ({"kind": "gathering", "visibility": 0.3}, "missing required field(s) members"),
+            ({"kind": "search", "visibility": 0.3, 7: 1.0}, "named by strings"),
+            (
+                {"kind": "gathering", "visibility": 0.3, "members": ["ab", "cd"]},
+                "must be an object, got str",
+            ),
+            (
+                {"kind": "gathering", "visibility": 0.3,
+                 "members": [[["x", 0.0], ["y", 0.0]], [[1, 2]]]},
+                "must be an object, got list",
+            ),
+            (
+                {"kind": "gathering", "visibility": 0.3,
+                 "members": [{1: 0.0, "y": 0.0}, {"x": 1.0, "y": 0.0}]},
+                "named by strings",
+            ),
+            ({"kind": "gathering", "visibility": 0.3, "members": 5}, "list of member"),
+        ],
+    )
+    def test_malformed_input_is_an_invalid_parameter_error(self, data, message):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            spec_from_dict({"schema_version": SCHEMA_VERSION, **data})
 
     def test_spec_kinds_lists_solvable_kinds(self):
         assert spec_kinds() == ["gathering", "rendezvous", "search"]

@@ -15,9 +15,8 @@ import pytest
 from repro.api import SearchProblem, SolveResult, solve
 from repro.api.batch import BatchRunner
 from repro.cluster import AsyncShardRouter, ClusterSupervisor
-from repro.errors import ReproError
 from repro.experiments.manifest import fingerprint_digest
-from repro.service import ServiceClient, request_lines
+from repro.service import FrameError, ServiceClient, request_lines
 
 BACKEND = "analytic"
 
@@ -81,19 +80,18 @@ class TestAsyncRouting:
             == solve(spec, backend=BACKEND).fingerprint()
         )
 
-    def test_a_binary_sweep_of_a_bytes_number_is_refused_before_the_ack(
-        self, async_cluster
-    ):
-        # Binary frames carry bytes, which float() would parse; the
-        # router relays the client's spec dicts as JSON, which has no
-        # bytes, so the spec is refused where it is parsed.
+    def test_a_binary_sweep_of_a_bytes_number_fails_in_the_client(self, async_cluster):
+        # A frame carries the JSON line, which has no bytes: the client
+        # refuses the request before writing it, and the connection
+        # serves the next sweep.
         spec = {"schema_version": 1, "kind": "search", "distance": b"1.5", "visibility": 0.3}
         with ServiceClient(
             async_cluster.host, async_cluster.port, binary=True
         ) as client:
-            with pytest.raises(ReproError, match="distance must be a number"):
+            sent = client.bytes_sent
+            with pytest.raises(FrameError):
                 client.sweep([spec])
-            # The refusal is a plain error response: the connection serves on.
+            assert client.bytes_sent == sent
             stream = client.sweep(_specs(3))
             records = list(stream)
         assert [record["ok"] for record in records] == [True] * 3

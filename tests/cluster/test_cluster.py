@@ -418,16 +418,17 @@ class TestSupervisorValidation:
         assert row["address"] is None and row["store"] is None
 
 
-class TestBinaryWorkerLinks:
-    def test_routed_vectorized_solve_over_binary_worker_links(self, cluster):
-        """The router's worker links negotiate binary frames, and a routed
-        vectorized solve is bit-identical to an in-process solve."""
+class TestWorkerLinks:
+    def test_routed_vectorized_solve_over_a_binary_client(self, cluster):
+        """The router's worker links speak JSON lines, and a routed
+        vectorized solve a binary client asked for is bit-identical to
+        an in-process solve, with the worker's result relayed as sent."""
         from repro.service import ServiceClient
 
         spec = SearchProblem(distance=2.0, visibility=0.5)
         expected = solve(spec, backend="vectorized").fingerprint()
         with ServiceClient(cluster.host, cluster.port, binary=True) as client:
-            assert client.binary  # the router itself upgrades too
+            assert client.binary  # the router itself upgrades
             response = client.request(
                 {"op": "solve", "spec": spec.to_dict(), "backend": "vectorized"}
             )
@@ -435,12 +436,31 @@ class TestBinaryWorkerLinks:
             assert SolveResult.from_dict(response["result"]).fingerprint() == expected
             metrics = client.request({"op": "metrics"})["metrics"]
 
-        # The router->worker links are binary by default.
+        # No worker link negotiates frames; the solve reached a worker as JSON.
         for row in metrics["shards"]:
-            assert row["metrics"]["transport"]["binary"]["connections"] >= 1
+            assert row["metrics"]["transport"]["binary"]["connections"] == 0
+        assert sum(row["metrics"]["transport"]["json"]["requests"] for row in metrics["shards"]) >= 1
         # And this client's binary traffic shows on the router's ledger.
         assert metrics["transport"]["binary"]["requests"] >= 1
         assert metrics["transport"]["binary"]["bytes_out"] > 0
+
+    def test_the_relayed_result_is_the_workers_text(self, cluster):
+        """A routed solve's ``result`` is spliced from its home worker's
+        line: the router sends the worker's result text unchanged."""
+        from repro.cluster.hashing import shard_key
+
+        spec = SearchProblem(distance=2.1, visibility=0.5)
+        request = json.dumps({"op": "solve", "spec": spec.to_dict(), "backend": BACKEND})
+        (routed,) = request_lines(cluster.host, cluster.port, [request])
+        home = cluster.ring.lookup(shard_key(BACKEND, spec.canonical_hash()))
+        handle = cluster.supervisor.handles[home]
+        (direct,) = request_lines(handle.host, handle.port, [request])
+        assert json.loads(direct)["served_by"] == "cache"
+
+        def result_text(line: str) -> str:
+            return line[line.index('"result":') : line.rindex(',"served_by":')]
+
+        assert result_text(routed) == result_text(direct)
 
 
 class TestKernelCacheMetrics:

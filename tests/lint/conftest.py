@@ -62,7 +62,6 @@ def lint_tree(tmp_path):
 #: never trip R003 on their scaffolding.
 NO_WIRE = dict(
     protocol_module="repro.no_such_protocol",
-    frames_module="repro.no_such_frames",
     wire_modules=(),
     dispatchers=(),
 )

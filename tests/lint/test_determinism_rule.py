@@ -138,7 +138,6 @@ class TestSyntheticRegression:
         config = LintConfig(
             taint_roots=("repro.api.result",),
             protocol_module="repro.nope",
-            frames_module="repro.nope2",
             wire_modules=(),
             dispatchers=(),
         )

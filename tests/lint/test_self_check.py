@@ -85,7 +85,6 @@ class TestCli:
         config = LintConfig(
             taint_roots=(),
             protocol_module="repro.nope",
-            frames_module="repro.nope2",
             wire_modules=(),
             dispatchers=(),
         )

@@ -9,7 +9,6 @@ from repro.lint import Baseline, Finding, LintConfig, run_lint
 CONFIG = LintConfig(
     taint_roots=(),
     protocol_module="repro.nope",
-    frames_module="repro.nope2",
     wire_modules=(),
     dispatchers=(),
 )

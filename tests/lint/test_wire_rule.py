@@ -7,7 +7,6 @@ from repro.lint import LintConfig
 WIRE_CONFIG = LintConfig(
     taint_roots=(),
     protocol_module="repro.service.protocol",
-    frames_module="repro.service.frames",
     wire_modules=(
         "repro.service.protocol",
         "repro.service.daemon",
@@ -92,7 +91,6 @@ class TestStaleConfig:
     STALE_CONFIG = LintConfig(
         taint_roots=(),
         protocol_module="repro.service.protocol",
-        frames_module="repro.service.frames",
         wire_modules=("repro.service.protocol", "repro.service.gone"),
         dispatchers=(
             ("repro.service.protocol", "handle_request"),
@@ -167,98 +165,6 @@ class TestResponseDivergence:
                         return response
                     return None
                 """,
-            },
-            WIRE_CONFIG,
-            rule="R003",
-        )
-        assert findings == []
-
-
-FRAMES_HEAD = """\
-def _encode_into(out, value):
-    if value is None:
-        out += b"N"
-    elif isinstance(value, int):
-        out += b"i"
-    else:
-        out += b"s"
-"""
-
-DECODER_MISSING_S = """\
-
-def _decode_from(buf, at):
-    tag = buf[at]
-    if tag == 0x4E:
-        return None
-    if tag == 0x69:
-        return 0
-    raise ValueError(tag)
-"""
-
-DECODER_FULL = """\
-
-def _decode_from(buf, at):
-    tag = buf[at]
-    if tag in (0x4E, 0x69, 0x73):
-        return None
-    raise ValueError(tag)
-"""
-
-SKIPPER_MISSING_S = """\
-
-def _skip_from(buf, at):
-    tag = buf[at]
-    if tag in (0x4E, 0x69):
-        return at + 1
-    raise ValueError(tag)
-"""
-
-SKIPPER_FULL = """\
-
-def _skip_from(buf, at):
-    tag = buf[at]
-    if tag in (0x4E, 0x69, 0x73):
-        return at + 1
-    raise ValueError(tag)
-"""
-
-NO_DISPATCH = "def _dispatch(op, data):\n    return None\n"
-
-
-class TestCodecSymmetry:
-    def test_encoded_tag_the_decoder_rejects(self, lint_tree):
-        findings = lint_tree(
-            {
-                "service/protocol.py": PROTOCOL,
-                "service/daemon.py": NO_DISPATCH,
-                "service/frames.py": FRAMES_HEAD + DECODER_MISSING_S,
-            },
-            WIRE_CONFIG,
-            rule="R003",
-        )
-        assert any(
-            "'s'" in finding.message and "_decode_from does not accept" in finding.message
-            for finding in findings
-        )
-
-    def test_decoded_tag_the_skipper_cannot_skip(self, lint_tree):
-        findings = lint_tree(
-            {
-                "service/protocol.py": PROTOCOL,
-                "service/daemon.py": NO_DISPATCH,
-                "service/frames.py": FRAMES_HEAD + DECODER_FULL + SKIPPER_MISSING_S,
-            },
-            WIRE_CONFIG,
-            rule="R003",
-        )
-        assert any("_skip_from cannot skip" in finding.message for finding in findings)
-
-    def test_symmetric_codec_is_clean(self, lint_tree):
-        findings = lint_tree(
-            {
-                "service/protocol.py": PROTOCOL,
-                "service/daemon.py": NO_DISPATCH,
-                "service/frames.py": FRAMES_HEAD + DECODER_FULL + SKIPPER_FULL,
             },
             WIRE_CONFIG,
             rule="R003",

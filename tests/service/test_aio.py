@@ -23,6 +23,7 @@ from repro.errors import ReproError
 from repro.experiments.manifest import fingerprint_digest
 from repro.service import AsyncReproServer, ServiceClient, request_lines
 from repro.service.aio import _DONE, _SubscriptionBridge
+from repro.service.frames import encode_frame, read_frame
 
 #: The daemon's answers to ``_DETERMINISTIC_LINES``, one per line,
 #: frozen before the thread-per-connection daemon was removed; that
@@ -82,6 +83,28 @@ class TestGoldenTranscript:
         assert len(golden) == len(_DETERMINISTIC_LINES)
         actual = request_lines(server.host, server.port, _DETERMINISTIC_LINES)
         assert actual == golden
+
+    def test_a_frame_carries_the_golden_line(self, server):
+        """Each golden request that is a JSON object, sent as a frame on
+        an upgraded connection, is answered with a frame whose payload
+        is its golden line byte for byte: one codec for both formats."""
+        golden = GOLDEN_TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+        pairs = [
+            (json.loads(line), answer.encode("utf-8"))
+            for line, answer in zip(_DETERMINISTIC_LINES, golden)
+            if line.startswith("{")
+        ]
+        assert len(pairs) == 7
+        with socket.create_connection((server.host, server.port), timeout=30) as conn:
+            stream = conn.makefile("rwb")
+            stream.write(b'{"op": "hello", "format": "binary"}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["format"] == "binary"
+            for request, _ in pairs:
+                stream.write(encode_frame(request))
+            stream.flush()
+            payloads = [read_frame(stream) for _ in pairs]
+        assert payloads == [answer for _, answer in pairs]
 
     def test_solve_health_transcripts_match_modulo_timing(self, server):
         spec = SearchProblem(distance=1.4, visibility=0.3)

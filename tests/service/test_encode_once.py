@@ -99,6 +99,23 @@ def test_a_daemon_with_a_store_encodes_each_fresh_result_once(tmp_path, monkeypa
     assert sorted(counts.hashed.values()) == [1] * len(specs)
 
 
+def test_a_fresh_solve_on_a_daemon_with_a_store_is_encoded_once(tmp_path, monkeypatch):
+    """The store line and the answer share one encoding: the answer's
+    result is the run's text, spliced into either transport."""
+    (spec,) = _specs(1)
+    expected = spec.canonical_hash()
+    with AsyncReproServer(backend=BACKEND, store=tmp_path / "store") as server:
+        server.serve_background()
+        counts = _Counts(monkeypatch)
+        for binary in (False, True):
+            with ServiceClient(server.host, server.port, binary=binary) as client:
+                response = client.request({"op": "solve", "spec": spec.to_dict()})
+            assert response["ok"]
+            assert response["served_by"] == ("cache" if binary else "solve")
+            assert response["result"]["provenance"]["spec_hash"] == expected
+    assert list(counts.to_dict.values()) == [1]
+
+
 def test_a_fleet_sweep_encodes_each_fresh_result_once(tmp_path, monkeypatch):
     specs = _specs(24)
     expected = fingerprint_digest(BatchRunner(backend=BACKEND).run(specs)[0])

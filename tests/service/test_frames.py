@@ -1,9 +1,16 @@
-"""Codec, framing and negotiation tests for the binary serving wire."""
+"""Payload, framing and negotiation tests for the binary serving wire.
+
+A frame's payload is the JSON line the same message gets on the
+JSON-Lines wire, minus the newline; the header only adds magic, version
+and length.
+"""
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import re
 import socket
 import struct
 import threading
@@ -15,110 +22,73 @@ from repro.service import AsyncReproServer, ServiceClient, request_lines
 from repro.service.frames import (
     FORMAT_BINARY,
     FORMAT_JSON,
+    HEADER_SIZE,
     HELLO_OP,
     MAX_FRAME_BYTES,
     FrameError,
-    Raw,
     decode_payload,
     encode_frame,
     encode_payload,
-    materialize_raw,
     pack_frame,
     read_frame,
 )
+from repro.service.protocol import Fragment, encode_response
 
 SPEC = SearchProblem(distance=1.2, visibility=0.3)
 
 
-# -- payload codec -------------------------------------------------------------
+# -- payload: the JSON line ----------------------------------------------------
 
 
-class TestPayloadCodec:
+class TestJsonPayload:
     SAMPLES = [
-        None,
-        True,
-        False,
-        0,
-        -1,
-        2**62,
-        -(2**62),
-        0.0,
-        -2.5,
-        1e300,
-        "",
-        "ascii",
-        "unicode: éα中",
-        b"",
-        b"\x00\xffraw",
-        [],
-        [1, "two", 3.0, None, [True]],
         {},
-        {"nested": {"list": [1, 2], "flag": False}, "x": 1.5},
+        {"ok": True, "op": "health", "id": None},
+        {"nested": {"list": [1, 2], "flag": False}, "x": 1.5, "big": 2**70},
+        {"text": "unicode: éα中", "empty": "", "floats": [0.0, -2.5, 1e300]},
     ]
 
-    @pytest.mark.parametrize("value", SAMPLES, ids=repr)
-    def test_roundtrip(self, value):
-        assert decode_payload(encode_payload(value)) == value
-
-    def test_tuples_encode_as_lists(self):
-        assert decode_payload(encode_payload((1, 2, (3,)))) == [1, 2, [3]]
+    @pytest.mark.parametrize("message", SAMPLES, ids=repr)
+    def test_payload_is_the_json_line(self, message):
+        payload = encode_payload(message)
+        assert payload == encode_response(message).encode("utf-8")
+        assert payload == json.dumps(
+            message, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        ).encode("utf-8")
+        assert decode_payload(payload) == message
 
     def test_encoding_is_deterministic_under_key_order(self):
         assert encode_payload({"b": 1, "a": 2}) == encode_payload({"a": 2, "b": 1})
 
-    def test_int64_overflow_is_a_frame_error(self):
+    @pytest.mark.parametrize(
+        "value", [b"1.5", float("nan"), math.inf, -math.inf, {1, 2}], ids=repr
+    )
+    def test_a_value_json_cannot_carry_is_a_frame_error(self, value):
         with pytest.raises(FrameError):
-            encode_payload(2**63)
+            encode_payload({"spec": {"distance": value}})
 
-    def test_non_string_dict_key_is_a_frame_error(self):
+    @pytest.mark.parametrize(
+        "payload", [b"", b"{", b"not json", b'{"a":1}x', b'{"a":"\xff"}'], ids=repr
+    )
+    def test_an_undecodable_payload_is_a_frame_error(self, payload):
         with pytest.raises(FrameError):
-            encode_payload({1: "x"})
-
-    def test_unencodable_type_is_a_frame_error(self):
-        with pytest.raises(FrameError):
-            encode_payload({"bad": {1, 2}})
-
-    def test_truncated_payload_is_a_frame_error(self):
-        payload = encode_payload({"key": [1.0, 2.0, 3.0]})
-        with pytest.raises(FrameError):
-            decode_payload(payload[:-1])
-
-    def test_trailing_bytes_are_a_frame_error(self):
-        with pytest.raises(FrameError):
-            decode_payload(encode_payload(1) + b"x")
-
-    def test_unknown_tag_is_a_frame_error(self):
-        with pytest.raises(FrameError):
-            decode_payload(b"\x00")
+            decode_payload(payload)
 
 
-class TestRawSpans:
-    PAYLOAD = {"ok": True, "result": {"value": [1.5, 2], "solved": True}, "id": 7}
+class TestFragmentSplicing:
+    RESULT = {"value": [1.5, 2], "solved": True}
 
-    def test_raw_keys_come_back_as_spans(self):
-        decoded = decode_payload(
-            encode_payload(self.PAYLOAD), raw_keys=frozenset({"result"})
-        )
-        assert isinstance(decoded["result"], Raw)
-        assert decoded["ok"] is True and decoded["id"] == 7
-        assert decoded["result"].decode() == self.PAYLOAD["result"]
+    def test_a_fragment_splices_verbatim(self):
+        text = json.dumps(self.RESULT, sort_keys=True, separators=(",", ":"))
+        fragment = Fragment(text, self.RESULT)
+        spliced = encode_payload({"ok": True, "result": fragment, "id": 7})
+        assert spliced == encode_payload({"ok": True, "result": self.RESULT, "id": 7})
+        assert decode_payload(spliced)["result"] == self.RESULT
 
-    def test_splicing_raw_back_is_byte_identical(self):
-        reference = encode_payload(self.PAYLOAD)
-        decoded = decode_payload(reference, raw_keys=frozenset({"result"}))
-        assert encode_payload(decoded) == reference
-
-    def test_materialize_raw_decodes_top_level_spans(self):
-        decoded = decode_payload(
-            encode_payload(self.PAYLOAD), raw_keys=frozenset({"result"})
-        )
-        assert materialize_raw(decoded) == self.PAYLOAD
-        # JSON emission is the whole point of materialising.
-        json.dumps(materialize_raw(decoded))
-
-    def test_materialize_raw_is_a_no_op_without_spans(self):
-        assert materialize_raw(self.PAYLOAD) is self.PAYLOAD
-        assert materialize_raw("not a dict") == "not a dict"
+    def test_the_fragment_text_is_not_re_encoded(self):
+        # A marker text proves the bytes come from the fragment, not its value.
+        fragment = Fragment('{"marker":1}', self.RESULT)
+        assert b'"result":{"marker":1}' in encode_payload({"result": fragment})
 
 
 # -- framing -------------------------------------------------------------------
@@ -127,33 +97,44 @@ class TestRawSpans:
 class TestFraming:
     def test_frame_roundtrip(self):
         value = {"op": "solve", "spec": SPEC.to_dict()}
-        stream = io.BytesIO(encode_frame(value) + encode_frame(None))
+        stream = io.BytesIO(encode_frame(value) + encode_frame({}))
         assert decode_payload(read_frame(stream)) == value
-        assert decode_payload(read_frame(stream)) is None
+        assert decode_payload(read_frame(stream)) == {}
         assert read_frame(stream) is None  # clean EOF at a boundary
+
+    def test_header_is_version_two_and_the_payload_length(self):
+        frame = encode_frame({"op": "health"})
+        assert frame[:HEADER_SIZE] == struct.pack("!BBI", 0xB6, 2, len(b'{"op":"health"}'))
+        assert frame[HEADER_SIZE:] == b'{"op":"health"}'
 
     def test_bad_magic_is_a_frame_error(self):
         with pytest.raises(FrameError, match="magic"):
-            read_frame(io.BytesIO(b"\x00" + encode_frame(1)[1:]))
+            read_frame(io.BytesIO(b"\x00" + encode_frame({})[1:]))
 
     def test_bad_version_is_a_frame_error(self):
-        frame = bytearray(encode_frame(1))
+        frame = bytearray(encode_frame({}))
         frame[1] = 99
         with pytest.raises(FrameError, match="version"):
             read_frame(io.BytesIO(bytes(frame)))
 
+    def test_a_version_one_header_is_refused(self):
+        # Version 1 carried the retired tag codec: refused, never misparsed.
+        header = struct.pack("!BBI", 0xB6, 1, 1)
+        with pytest.raises(FrameError, match="unsupported frame version 1"):
+            read_frame(io.BytesIO(header + b"N"))
+
     def test_oversize_length_is_a_frame_error(self):
-        header = struct.pack("!BBI", 0xB6, 1, MAX_FRAME_BYTES + 1)
+        header = struct.pack("!BBI", 0xB6, 2, MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameError, match="maximum"):
             read_frame(io.BytesIO(header))
 
     def test_truncated_header_is_a_frame_error(self):
         with pytest.raises(FrameError, match="mid-frame-header"):
-            read_frame(io.BytesIO(encode_frame(1)[:3]))
+            read_frame(io.BytesIO(encode_frame({})[:3]))
 
     def test_truncated_payload_is_a_frame_error(self):
         with pytest.raises(FrameError, match="mid-frame"):
-            read_frame(io.BytesIO(encode_frame([1, 2, 3])[:-2]))
+            read_frame(io.BytesIO(encode_frame({"list": [1, 2, 3]})[:-2]))
 
     def test_pack_frame_refuses_oversize_payloads(self, monkeypatch):
         import repro.service.frames as frames
@@ -368,3 +349,80 @@ class TestTransportMetrics:
             client.request({"op": "health"})
             assert client.bytes_sent > 0
             assert client.bytes_received > 0
+
+
+# -- one codec: a frame carries the JSON line ------------------------------------
+
+#: Volatile members masked before two transports' bytes are compared.
+_VOLATILE = re.compile(rb'"(latency_ms|wall_time|wall_time_ms)":[0-9.eE+-]+')
+
+
+def _mask(line: bytes) -> bytes:
+    return _VOLATILE.sub(rb'"\1":0', line)
+
+
+def _json_exchange(server, requests: list[dict], reads: int) -> list[bytes]:
+    """Raw response lines (no newline) for ``requests`` on one JSON connection."""
+    with socket.create_connection((server.host, server.port), timeout=30) as conn:
+        stream = conn.makefile("rwb")
+        for request in requests:
+            stream.write(encode_response(request).encode("utf-8") + b"\n")
+        stream.flush()
+        return [stream.readline().rstrip(b"\n") for _ in range(reads)]
+
+
+def _binary_exchange(server, requests: list[dict], reads: int) -> list[bytes]:
+    """Raw frame payloads for ``requests`` on one upgraded connection."""
+    conn, stream = _upgraded_stream(server)
+    with conn:
+        for request in requests:
+            stream.write(encode_frame(request))
+        stream.flush()
+        return [read_frame(stream) for _ in range(reads)]
+
+
+class TestOneCodec:
+    def test_a_solve_and_a_sweep_send_the_same_bytes_over_both_transports(self):
+        specs = [
+            SearchProblem(distance=1.0 + 0.11 * i, visibility=0.3).to_dict() for i in range(4)
+        ]
+        requests = [
+            {"op": "solve", "spec": SPEC.to_dict(), "id": 1},
+            {"op": "solve", "spec": SPEC.to_dict(), "id": 2},
+            {"op": "sweep", "specs": specs, "id": "s"},
+        ]
+        reads = 2 + 1 + len(specs) + 1  # two solves, ack, records, summary
+        answers = {}
+        for exchange in (_json_exchange, _binary_exchange):
+            with AsyncReproServer(backend="auto") as srv:
+                srv.serve_background()
+                answers[exchange] = [_mask(answer) for answer in exchange(srv, requests, reads)]
+        json_answers, binary_answers = answers[_json_exchange], answers[_binary_exchange]
+        # The cold solve, its hot replay, the ack and the summary in order;
+        # the sweep's records in completion order, which is the kernel's.
+        assert json_answers[:3] == binary_answers[:3]
+        assert json_answers[-1] == binary_answers[-1]
+        by_seq = re.compile(rb'"seq":\d+')
+        assert sorted(by_seq.sub(b"", a) for a in json_answers[3:-1]) == sorted(
+            by_seq.sub(b"", a) for a in binary_answers[3:-1]
+        )
+        assert b'"served_by":"solve"' in json_answers[0]
+        assert b'"served_by":"cache"' in json_answers[1]
+
+
+class TestUnencodableRequests:
+    @pytest.mark.parametrize("value", [b"1.5", float("nan"), math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "json"])
+    def test_refused_in_the_client_before_anything_is_written(self, server, binary, value):
+        spec = {**SPEC.to_dict(), "distance": value}
+        with ServiceClient(server.host, server.port, binary=binary) as client:
+            assert client.binary is binary
+            sent = client.bytes_sent
+            with pytest.raises(FrameError):
+                client.request({"op": "solve", "spec": spec})
+            with pytest.raises(FrameError):
+                client.sweep([spec])
+            assert client.bytes_sent == sent and not client.closed
+            # Nothing reached the wire, so the connection is still in sync.
+            response = client.request({"op": "solve", "spec": SPEC.to_dict(), "id": 5})
+        assert response["ok"] and response["id"] == 5

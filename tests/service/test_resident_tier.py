@@ -23,7 +23,7 @@ from repro.api import BatchRunner, ProblemSpec, SearchProblem, SolveResult
 from repro.api import spec as spec_module
 from repro.service import AsyncReproServer, ServiceClient, SolverService, request_lines
 from repro.service import aio as aio_module
-from repro.service.frames import encode_frame, pack_frame, read_frame
+from repro.service.frames import HEADER_SIZE, encode_frame, pack_frame, read_frame
 from repro.service.protocol import encode_response
 
 WAIT_S = 10.0
@@ -56,7 +56,6 @@ def _solve_request(spec=SPEC, **extra) -> dict:
 # -- masking the one volatile field, at the byte level --------------------------
 
 _JSON_LATENCY = re.compile(rb'"latency_ms":[0-9.eE+-]+')
-_BINARY_LATENCY = b"s\x00\x00\x00\nlatency_msf"
 
 
 def _mask_json(line: bytes) -> bytes:
@@ -66,8 +65,8 @@ def _mask_json(line: bytes) -> bytes:
 
 
 def _mask_binary(frame: bytes) -> bytes:
-    at = frame.index(_BINARY_LATENCY) + len(_BINARY_LATENCY)
-    return frame[:at] + bytes(8) + frame[at + 8 :]
+    # The payload is the JSON line; the length field follows its latency digits.
+    return frame[:2] + _mask_json(frame[HEADER_SIZE:])
 
 
 def _wire_answer(server, request: dict, binary: bool) -> bytes:

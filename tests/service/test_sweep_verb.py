@@ -97,3 +97,29 @@ class TestSweepRefusals:
         with ServiceClient(server.host, server.port) as client:
             with pytest.raises(ReproError, match="specs"):
                 client.sweep([], backend=BACKEND)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"schema_version": 1, "kind": []}, "unknown spec kind"),
+            ({"schema_version": 1, "kind": "search"}, "missing required field"),
+            (
+                {"schema_version": 1, "kind": "gathering", "visibility": 0.3,
+                 "members": ["ab", "cd"]},
+                "must be an object",
+            ),
+        ],
+        ids=["kind-list", "missing-field", "string-members"],
+    )
+    def test_a_malformed_spec_is_a_typed_indexed_error(self, server, bad, message):
+        good = _specs(1)[0].to_dict()
+        with ServiceClient(server.host, server.port) as client:
+            ack = client.request({"op": "sweep", "specs": [good, bad]})
+            assert not ack["ok"]
+            assert ack["error_type"] == "ReproError"
+            assert ack["error"].startswith("specs[1]: ") and message in ack["error"]
+            solved = client.request({"op": "solve", "spec": bad, "id": 4})
+            assert not solved["ok"] and solved["id"] == 4
+            assert solved["error_type"] == "InvalidParameterError"
+            assert message in solved["error"]
+
